@@ -40,16 +40,12 @@ CnnTrunk::CnnTrunk(const CnnTrunkConfig& config, cews::Rng& rng)
 nn::Tensor CnnTrunk::Forward(const nn::Tensor& x) const {
   CEWS_CHECK_EQ(x.ndim(), 4);
   const nn::Index n = x.dim(0);
-  // Each conv block's ReLU is a gradient-checkpoint boundary (nn/graph.h):
-  // under CEWS_NN_GRAPH=1 + CEWS_NN_CKPT=1 the big pre-flatten activations
-  // between boundaries are dropped after forward and recomputed during
-  // backward. Identity everywhere else.
   nn::Tensor h = conv1_->Forward(x);
-  h = nn::Checkpoint(nn::Relu(ln1_->Forward(h)));
+  h = nn::Relu(ln1_->Forward(h));
   h = conv2_->Forward(h);
-  h = nn::Checkpoint(nn::Relu(ln2_->Forward(h)));
+  h = nn::Relu(ln2_->Forward(h));
   h = conv3_->Forward(h);
-  h = nn::Checkpoint(nn::Relu(ln3_->Forward(h)));
+  h = nn::Relu(ln3_->Forward(h));
   h = nn::Reshape(h, {n, flat_after_conv_});
   return nn::Relu(fc_->Forward(h));
 }

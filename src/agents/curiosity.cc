@@ -117,43 +117,36 @@ nn::Tensor SpatialCuriosity::Loss(
       WriteFeature(s.to, targets.data() + i * f);
     }
 
-    if (nn::graph::GraphModeEnabled() && nn::GradModeEnabled() &&
-        !nn::graph::Recording()) {
-      auto it = loss_graphs_.find(b);
-      if (it == loss_graphs_.end()) {
-        nn::graph::NoteCacheMiss();
-        LossGraph g;
-        g.inputs = nn::Tensor::FromData({b, in_dim}, std::move(inputs));
-        g.targets = nn::Tensor::FromData({b, f}, std::move(targets));
-        nn::graph::BeginRecording();
-        nn::graph::MarkPlaceholder(g.inputs);
-        nn::graph::MarkPlaceholder(g.targets);
-        const nn::Tensor pred = forward_models_[0]->Forward(g.inputs);
-        g.loss = nn::MulScalar(
-            nn::Mean(nn::SumLastDim(nn::Square(nn::Sub(pred, g.targets)))),
-            1.0f / static_cast<float>(f));
-        g.graph = nn::graph::EndRecording(g.loss);
-        it = loss_graphs_.emplace(b, std::move(g)).first;
-      } else {
-        nn::graph::NoteCacheHit();
-        LossGraph& g = it->second;
-        CEWS_CHECK_EQ(inputs.size(), g.inputs.impl()->data.size());
-        std::copy(inputs.begin(), inputs.end(), g.inputs.impl()->data.data());
-        std::copy(targets.begin(), targets.end(),
-                  g.targets.impl()->data.data());
-        g.graph->Forward();
-      }
-      return it->second.loss;
+    // Compiled once per batch size, replayed after that. Mean over the
+    // batch of the per-sample squared L2 error (Eqn 16), normalized by the
+    // feature dimension (matches IntrinsicReward).
+    CEWS_CHECK(nn::GradModeEnabled())
+        << "curiosity Loss under NoGradGuard: the cached loss graph would "
+           "carry no backward";
+    auto it = loss_graphs_.find(b);
+    if (it == loss_graphs_.end()) {
+      nn::graph::NoteCacheMiss();
+      LossGraph g;
+      g.inputs = nn::Tensor::FromData({b, in_dim}, std::move(inputs));
+      g.targets = nn::Tensor::FromData({b, f}, std::move(targets));
+      nn::graph::BeginRecording();
+      nn::graph::MarkPlaceholder(g.inputs);
+      nn::graph::MarkPlaceholder(g.targets);
+      const nn::Tensor pred = forward_models_[0]->Forward(g.inputs);
+      g.loss = nn::MulScalar(
+          nn::Mean(nn::SumLastDim(nn::Square(nn::Sub(pred, g.targets)))),
+          1.0f / static_cast<float>(f));
+      g.graph = nn::graph::EndRecording(g.loss);
+      it = loss_graphs_.emplace(b, std::move(g)).first;
+    } else {
+      nn::graph::NoteCacheHit();
+      LossGraph& g = it->second;
+      CEWS_CHECK_EQ(inputs.size(), g.inputs.impl()->data.size());
+      std::copy(inputs.begin(), inputs.end(), g.inputs.impl()->data.data());
+      std::copy(targets.begin(), targets.end(), g.targets.impl()->data.data());
+      g.graph->Forward();
     }
-
-    const nn::Tensor pred = forward_models_[0]->Forward(
-        nn::Tensor::FromData({b, in_dim}, std::move(inputs)));
-    const nn::Tensor target = nn::Tensor::FromData({b, f}, std::move(targets));
-    // Mean over the batch of the per-sample squared L2 error (Eqn 16),
-    // normalized by the feature dimension (matches IntrinsicReward).
-    return nn::MulScalar(
-        nn::Mean(nn::SumLastDim(nn::Square(nn::Sub(pred, target)))),
-        1.0f / static_cast<float>(f));
+    return it->second.loss;
   }
 
   // Independent structure: per-worker losses weighted by sample counts.

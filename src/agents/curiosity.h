@@ -79,8 +79,10 @@ class SpatialCuriosity {
                              const std::vector<int>& moves,
                              const std::vector<PositionObs>& to) const;
 
-  /// Training loss Loss^f (Eqn 16) averaged over the batch; build + return
-  /// the graph for backward.
+  /// Training loss Loss^f (Eqn 16) averaged over the batch, for backward.
+  /// The shared structure compiles it once per batch size (nn/graph.h), so
+  /// the next same-size call overwrites the returned tensor; the
+  /// independent structure builds it on the tape.
   nn::Tensor Loss(const std::vector<CuriositySample>& batch) const;
 
   /// Draws min(batch, samples.size()) samples with replacement from
@@ -102,10 +104,10 @@ class SpatialCuriosity {
   /// Forward model for a given worker (shared: always model 0).
   const nn::Mlp& ModelFor(int worker) const;
 
-  /// One compiled forward-model loss graph (CEWS_NN_GRAPH=1, shared
-  /// structure only), cached per batch size. The kIndependent structure
-  /// partitions the batch by worker, so its sub-batch shapes vary per call
-  /// and it stays on the tape.
+  /// One compiled forward-model loss graph (shared structure only), cached
+  /// per batch size. The kIndependent structure partitions the batch by
+  /// worker, so its sub-batch shapes vary per call and it stays on the
+  /// tape.
   struct LossGraph {
     nn::graph::GraphPtr graph;
     nn::Tensor inputs, targets, loss;

@@ -1,29 +1,8 @@
 #include "agents/policy_net.h"
 
-#include <algorithm>
-#include <map>
-#include <utility>
-#include <vector>
-
 #include "common/check.h"
-#include "nn/graph.h"
 
 namespace cews::agents {
-
-namespace {
-
-/// One compiled forward-only policy graph for the no-grad (serve/act) path.
-/// `param_pin` keeps the net's first parameter alive so the cache key — the
-/// parameter's impl address — can never be recycled into a different net
-/// while the entry exists.
-struct ServeGraph {
-  nn::graph::GraphPtr graph;
-  nn::Tensor x;
-  PolicyOutput out;
-  nn::Tensor param_pin;
-};
-
-}  // namespace
 
 PolicyNet::PolicyNet(const PolicyNetConfig& config, cews::Rng& rng)
     : config_(config) {
@@ -52,7 +31,7 @@ PolicyNet::PolicyNet(const PolicyNetConfig& config, cews::Rng& rng)
       std::make_unique<nn::Linear>(config.feature_dim, 1, rng, /*gain=*/1.0f);
 }
 
-PolicyOutput PolicyNet::ForwardImpl(const nn::Tensor& x) const {
+PolicyOutput PolicyNet::Forward(const nn::Tensor& x) const {
   const nn::Index n = x.dim(0);
   nn::Tensor feature = trunk_->Forward(x);
 
@@ -65,48 +44,6 @@ PolicyOutput PolicyNet::ForwardImpl(const nn::Tensor& x) const {
       nn::Reshape(charge_head_->Forward(feature), {n, config_.num_workers, 2});
   out.value = nn::Reshape(value_head_->Forward(feature), {n});
   return out;
-}
-
-PolicyOutput PolicyNet::Forward(const nn::Tensor& x) const {
-  if (!nn::graph::GraphModeEnabled() || nn::GradModeEnabled() ||
-      nn::graph::Recording()) {
-    return ForwardImpl(x);
-  }
-
-  // No-grad graph path: one forward-only compiled graph per (net, batch
-  // size) per thread, keyed on the net's first parameter so weight updates
-  // applied in place (CopyParameters) flow into replays while a *different*
-  // net never hits a stale entry.
-  const nn::Index n = x.dim(0);
-  const nn::Tensor first_param = trunk_->Parameters().front();
-  const std::pair<const void*, nn::Index> key{
-      static_cast<const void*>(first_param.impl().get()), n};
-  static thread_local std::map<std::pair<const void*, nn::Index>, ServeGraph>
-      cache;
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    nn::graph::NoteCacheMiss();
-    ServeGraph g;
-    g.param_pin = first_param;
-    g.x = nn::Tensor::FromData(
-        x.shape(), std::vector<float>(x.data(), x.data() + x.numel()));
-    nn::graph::BeginRecording();
-    nn::graph::MarkPlaceholder(g.x);
-    g.out = ForwardImpl(g.x);
-    nn::graph::Retain(g.out.move_logits);
-    nn::graph::Retain(g.out.charge_logits);
-    nn::graph::Retain(g.out.value);
-    nn::graph::Retain(g.out.feature);
-    g.graph = nn::graph::EndRecording(nn::Tensor());
-    it = cache.emplace(key, std::move(g)).first;
-  } else {
-    nn::graph::NoteCacheHit();
-    ServeGraph& g = it->second;
-    CEWS_CHECK_EQ(x.numel(), g.x.numel());
-    std::copy(x.data(), x.data() + x.numel(), g.x.impl()->data.data());
-    g.graph->Forward();
-  }
-  return it->second.out;
 }
 
 std::vector<nn::Tensor> PolicyNet::Parameters() const {

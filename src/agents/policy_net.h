@@ -61,14 +61,9 @@ class PolicyNet : public nn::Module {
  public:
   PolicyNet(const PolicyNetConfig& config, cews::Rng& rng);
 
-  /// x: [N, in_channels, grid, grid].
-  ///
-  /// With CEWS_NN_GRAPH=1, no-grad forwards (acting, value bootstraps, the
-  /// serve replicas) replay a compiled forward-only graph cached per
-  /// (net, batch size) on each thread. The returned tensors then belong to
-  /// that graph: the next same-shape no-grad Forward on the thread
-  /// overwrites them, so read the outputs before forwarding again (every
-  /// current caller samples/copies immediately).
+  /// x: [N, in_channels, grid, grid]. No-grad callers (acting, value
+  /// bootstraps, serving) run it eagerly; inside a loss recording
+  /// (PpoAgent::ComputeLoss) it becomes part of the compiled loss graph.
   PolicyOutput Forward(const nn::Tensor& x) const;
 
   std::vector<nn::Tensor> Parameters() const override;
@@ -76,10 +71,6 @@ class PolicyNet : public nn::Module {
   const PolicyNetConfig& config() const { return config_; }
 
  private:
-  /// The trunk+heads DAG itself, shared by the tape path, the serve-graph
-  /// recording, and enclosing loss recordings.
-  PolicyOutput ForwardImpl(const nn::Tensor& x) const;
-
   PolicyNetConfig config_;
   std::unique_ptr<CnnTrunk> trunk_;
   std::unique_ptr<nn::Linear> move_head_;

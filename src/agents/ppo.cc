@@ -124,46 +124,11 @@ nn::Tensor PpoAgent::ComputeLoss(MiniBatch batch, LossStats* stats) const {
     }
   }
 
-  // Graph mode: compile the whole loss once per batch size, then replay it
-  // against rewritten placeholders — no per-step tape rebuild.
-  if (nn::graph::GraphModeEnabled() && nn::GradModeEnabled() &&
-      !nn::graph::Recording()) {
-    return GraphLoss(std::move(batch), stats);
-  }
-
-  // The packed arrays are adopted wholesale — no per-transition gather.
-  nn::Tensor x = nn::Tensor::FromData(
-      {b, cfg.in_channels, cfg.grid, cfg.grid}, std::move(batch.states));
-  const PolicyOutput out = net_->Forward(x);
-
-  const std::vector<float> old_logp = std::move(batch.log_probs);
-  nn::Tensor logp_old = nn::Tensor::FromData({b}, old_logp);
-  nn::Tensor advantage =
-      nn::Tensor::FromData({b}, std::move(batch.advantages));
-  nn::Tensor returns = nn::Tensor::FromData({b}, std::move(batch.returns));
-
-  LossParts parts = BuildLoss(
-      out, logp_old, advantage, returns,
-      std::make_shared<const std::vector<nn::Index>>(
-          std::move(batch.move_indices)),
-      std::make_shared<const std::vector<nn::Index>>(
-          std::move(batch.charge_indices)),
-      b);
-  if (stats != nullptr) FillStats(parts, old_logp.data(), b, stats);
-  return parts.total;
-}
-
-nn::Index PpoAgent::LossGraphArenaBytes() const {
-  nn::Index total = 0;
-  for (const auto& [batch, g] : loss_graphs_) {
-    if (g.graph != nullptr) total += g.graph->arena_bytes();
-  }
-  return total;
-}
-
-nn::Tensor PpoAgent::GraphLoss(MiniBatch batch, LossStats* stats) const {
-  const PolicyNetConfig& cfg = net_->config();
-  const nn::Index b = batch.batch;
+  // The loss is compiled once per batch size and replayed against rewritten
+  // placeholders from then on — no per-step tape rebuild.
+  CEWS_CHECK(nn::GradModeEnabled())
+      << "ComputeLoss under NoGradGuard: the cached loss graph would carry "
+         "no backward";
   auto it = loss_graphs_.find(b);
   if (it == loss_graphs_.end()) {
     nn::graph::NoteCacheMiss();
@@ -213,11 +178,15 @@ nn::Tensor PpoAgent::GraphLoss(MiniBatch batch, LossStats* stats) const {
     *g.charge_idx = std::move(batch.charge_indices);
     g.graph->Forward();
   }
-  LossGraph& g = it->second;
-  if (stats != nullptr) {
-    FillStats(g.parts, g.logp_old.data(), b, stats);
-  }
+  const LossGraph& g = it->second;
+  if (stats != nullptr) FillStats(g.parts, g.logp_old.data(), b, stats);
   return g.parts.total;
+}
+
+nn::Index PpoAgent::LossGraphArenaBytes() const {
+  nn::Index total = 0;
+  for (const auto& [batch, g] : loss_graphs_) total += g.graph->arena_bytes();
+  return total;
 }
 
 nn::Tensor PpoAgent::ComputeLoss(const RolloutBuffer& buffer,

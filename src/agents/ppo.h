@@ -73,7 +73,10 @@ class PpoAgent {
   /// The minibatch must carry advantages (source buffer had
   /// ComputeAdvantages run). Takes the batch by value and adopts its
   /// arrays, so pass a freshly sampled batch (e.g. buffer.SampleBatch)
-  /// without copying.
+  /// without copying. The loss is compiled (nn/graph.h) on the first call
+  /// per batch size and replayed after that; the returned tensor is the
+  /// compiled graph's root, so the next same-size call overwrites it —
+  /// backpropagate before computing the next loss.
   nn::Tensor ComputeLoss(MiniBatch batch, LossStats* stats = nullptr) const;
 
   /// Convenience overload: gathers `idx` of `buffer` into a MiniBatch
@@ -94,20 +97,19 @@ class PpoAgent {
   nn::Adam& optimizer() { return *optimizer_; }
 
   /// Planned activation-arena bytes summed over this agent's compiled loss
-  /// graphs (0 until a graph-mode ComputeLoss ran). Bench/observability.
+  /// graphs (0 until the first ComputeLoss). Bench/observability.
   nn::Index LossGraphArenaBytes() const;
 
  private:
-  /// The loss expression's intermediate tensors, shared between the eager
-  /// tape path and the compiled-graph path so both build the identical DAG.
+  /// The loss expression's intermediate tensors LossStats reads.
   struct LossParts {
     nn::Tensor logp_new, ratio, policy_loss, value_loss, entropy, total;
   };
 
-  /// One compiled PPO loss graph (CEWS_NN_GRAPH=1), cached per minibatch
-  /// size: the placeholder leaves the trainer rewrites before each replay,
-  /// the shared gather-index handles for the taken actions, and the
-  /// retained diagnostic tensors LossStats reads after each forward.
+  /// One compiled PPO loss graph, cached per minibatch size: the
+  /// placeholder leaves the trainer rewrites before each replay, the shared
+  /// gather-index handles for the taken actions, and the retained
+  /// diagnostic tensors LossStats reads after each forward.
   struct LossGraph {
     nn::graph::GraphPtr graph;
     nn::Tensor x, logp_old, advantage, returns;
@@ -126,10 +128,6 @@ class PpoAgent {
   /// behavior log-probs.
   void FillStats(const LossParts& parts, const float* old_logp, nn::Index b,
                  LossStats* stats) const;
-
-  /// Graph-mode ComputeLoss: compiles the loss once per batch size, then
-  /// replays it against rewritten placeholders.
-  nn::Tensor GraphLoss(MiniBatch batch, LossStats* stats) const;
 
   PpoConfig config_;
   std::unique_ptr<PolicyNet> net_;

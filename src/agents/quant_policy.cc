@@ -246,18 +246,12 @@ AgreementStats ActionAgreementOnStates(const PolicyNet& net,
   CEWS_CHECK_EQ(static_cast<int>(states.size()),
                 batch * cfg.in_channels * cfg.grid * cfg.grid);
 
-  // fp32 reference logits, copied out before anything else runs (graph-mode
-  // outputs are invalidated by the net's next no-grad forward).
-  std::vector<float> ref_move, ref_charge;
+  // fp32 reference logits from an eager no-grad forward.
+  PolicyOutput ref;
   {
     nn::NoGradGuard no_grad;
-    const nn::Tensor x = nn::Tensor::FromData(
-        {batch, cfg.in_channels, cfg.grid, cfg.grid}, states);
-    const PolicyOutput out = net.Forward(x);
-    ref_move.assign(out.move_logits.data(),
-                    out.move_logits.data() + out.move_logits.numel());
-    ref_charge.assign(out.charge_logits.data(),
-                      out.charge_logits.data() + out.charge_logits.numel());
+    ref = net.Forward(nn::Tensor::FromData(
+        {batch, cfg.in_channels, cfg.grid, cfg.grid}, states));
   }
 
   const QuantPolicyOutput q =
@@ -269,11 +263,11 @@ AgreementStats ActionAgreementOnStates(const PolicyNet& net,
       const int moff = (i * cfg.num_workers + w) * cfg.num_moves;
       const int coff = (i * cfg.num_workers + w) * 2;
       stats.decisions += 2;
-      if (Argmax(ref_move.data() + moff, cfg.num_moves) ==
+      if (Argmax(ref.move_logits.data() + moff, cfg.num_moves) ==
           Argmax(q.move_logits.data() + moff, cfg.num_moves)) {
         ++stats.matched;
       }
-      if (Argmax(ref_charge.data() + coff, 2) ==
+      if (Argmax(ref.charge_logits.data() + coff, 2) ==
           Argmax(q.charge_logits.data() + coff, 2)) {
         ++stats.matched;
       }

@@ -53,63 +53,51 @@ nn::Tensor RndCuriosity::Loss(const MiniBatch& batch) const {
   CEWS_CHECK_EQ(batch.state_size, config_.state_size);
   const nn::Index b = batch.batch;
 
-  if (nn::graph::GraphModeEnabled() && nn::GradModeEnabled() &&
-      !nn::graph::Recording()) {
-    auto it = loss_graphs_.find(b);
-    if (it == loss_graphs_.end()) {
-      nn::graph::NoteCacheMiss();
-      LossGraph g;
-      g.x = nn::Tensor::FromData({b, config_.state_size}, batch.states);
-      nn::graph::BeginRecording();
-      nn::graph::MarkPlaceholder(g.x);
-      // The target net forwards under NoGrad, so its steps carry no
-      // closures — but they read the placeholder, so they replay (they are
-      // not memoized away).
-      const nn::Tensor target = TargetEmbedding(g.x);
-      const nn::Tensor pred = predictor_->Forward(g.x);
-      g.loss = nn::MulScalar(
-          nn::Mean(nn::SumLastDim(nn::Square(nn::Sub(pred, target)))),
-          1.0f / static_cast<float>(config_.out_dim));
-      g.graph = nn::graph::EndRecording(g.loss);
-      it = loss_graphs_.emplace(b, std::move(g)).first;
-    } else {
-      nn::graph::NoteCacheHit();
-      LossGraph& g = it->second;
-      CEWS_CHECK_EQ(batch.states.size(), g.x.impl()->data.size());
-      std::copy(batch.states.begin(), batch.states.end(),
-                g.x.impl()->data.data());
-      g.graph->Forward();
-    }
-    return it->second.loss;
+  // Compiled once per batch size, replayed after that.
+  CEWS_CHECK(nn::GradModeEnabled())
+      << "RND Loss under NoGradGuard: the cached loss graph would carry no "
+         "backward";
+  auto it = loss_graphs_.find(b);
+  if (it == loss_graphs_.end()) {
+    nn::graph::NoteCacheMiss();
+    LossGraph g;
+    // The packed state block is already the [B, state_size] tensor layout.
+    g.x = nn::Tensor::FromData({b, config_.state_size}, batch.states);
+    nn::graph::BeginRecording();
+    nn::graph::MarkPlaceholder(g.x);
+    // The target net forwards under NoGrad, so its steps carry no closures
+    // — but they read the placeholder, so they replay (they are not
+    // memoized away).
+    const nn::Tensor target = TargetEmbedding(g.x);
+    const nn::Tensor pred = predictor_->Forward(g.x);
+    g.loss = nn::MulScalar(
+        nn::Mean(nn::SumLastDim(nn::Square(nn::Sub(pred, target)))),
+        1.0f / static_cast<float>(config_.out_dim));
+    g.graph = nn::graph::EndRecording(g.loss);
+    it = loss_graphs_.emplace(b, std::move(g)).first;
+  } else {
+    nn::graph::NoteCacheHit();
+    LossGraph& g = it->second;
+    CEWS_CHECK_EQ(batch.states.size(), g.x.impl()->data.size());
+    std::copy(batch.states.begin(), batch.states.end(),
+              g.x.impl()->data.data());
+    g.graph->Forward();
   }
-
-  // The packed state block is already the [B, state_size] tensor layout.
-  const nn::Tensor x =
-      nn::Tensor::FromData({b, config_.state_size}, batch.states);
-  const nn::Tensor target = TargetEmbedding(x);
-  const nn::Tensor pred = predictor_->Forward(x);
-  return nn::MulScalar(
-      nn::Mean(nn::SumLastDim(nn::Square(nn::Sub(pred, target)))),
-      1.0f / static_cast<float>(config_.out_dim));
+  return it->second.loss;
 }
 
 nn::Tensor RndCuriosity::Loss(
     const std::vector<const std::vector<float>*>& states) const {
   CEWS_CHECK(!states.empty());
-  const nn::Index b = static_cast<nn::Index>(states.size());
-  std::vector<float> batch(static_cast<size_t>(b * config_.state_size));
-  for (nn::Index i = 0; i < b; ++i) {
-    const std::vector<float>& s = *states[static_cast<size_t>(i)];
-    CEWS_CHECK_EQ(static_cast<int>(s.size()), config_.state_size);
-    std::copy(s.begin(), s.end(), batch.begin() + i * config_.state_size);
+  MiniBatch batch;
+  batch.batch = static_cast<nn::Index>(states.size());
+  batch.state_size = config_.state_size;
+  batch.states.reserve(static_cast<size_t>(batch.batch * config_.state_size));
+  for (const std::vector<float>* s : states) {
+    CEWS_CHECK_EQ(static_cast<int>(s->size()), config_.state_size);
+    batch.states.insert(batch.states.end(), s->begin(), s->end());
   }
-  const nn::Tensor x =
-      nn::Tensor::FromData({b, config_.state_size}, std::move(batch));
-  const nn::Tensor target = TargetEmbedding(x);
-  const nn::Tensor pred = predictor_->Forward(x);
-  return nn::MulScalar(
-      nn::Mean(nn::SumLastDim(nn::Square(nn::Sub(pred, target)))),
-      1.0f / static_cast<float>(config_.out_dim));
+  return Loss(batch);
 }
 
 std::vector<nn::Tensor> RndCuriosity::Parameters() const {

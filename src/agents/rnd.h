@@ -44,11 +44,13 @@ class RndCuriosity {
 
   /// Predictor training loss over a packed minibatch: consumes
   /// `batch.states` ([B * state_size], row-major) directly — the trainer
-  /// hot path; no per-transition gather.
+  /// hot path; no per-transition gather. Compiled once per batch size
+  /// (nn/graph.h), so the next same-size call overwrites the returned
+  /// tensor.
   nn::Tensor Loss(const MiniBatch& batch) const;
 
-  /// Predictor training loss over a batch of state pointers (row-major
-  /// [batch, state_size]); returns the graph for backward.
+  /// Predictor training loss over a batch of state pointers: packs them
+  /// into a MiniBatch and delegates to the overload above.
   nn::Tensor Loss(const std::vector<const std::vector<float>*>& states) const;
 
   /// Trainable parameters (predictor only).
@@ -59,7 +61,7 @@ class RndCuriosity {
  private:
   nn::Tensor TargetEmbedding(const nn::Tensor& x) const;
 
-  /// One compiled predictor-loss graph (CEWS_NN_GRAPH=1) per batch size:
+  /// One compiled predictor-loss graph per batch size:
   /// both the frozen target's forward (recorded without a tape) and the
   /// predictor's forward replay against the rewritten state placeholder.
   struct LossGraph {

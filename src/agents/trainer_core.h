@@ -14,12 +14,11 @@
 // instance-major: all N states are encoded and sampled as one batch, then
 // instances step in index order.
 //
-// Execution backend: with CEWS_NN_GRAPH=1 the nn layer compiles each
-// (net, batch-shape) pair it sees into an expression graph (nn/graph.h) —
-// the batched acting forward here and the trainers' PPO/curiosity/RND loss
-// builds replay compiled graphs instead of re-taping, bitwise-identically.
-// Nothing in this file changes; the caches live inside PolicyNet, PpoAgent,
-// SpatialCuriosity and RndCuriosity, one per employee thread.
+// Execution backend: the batched acting forward here runs the nn ops
+// eagerly under NoGradGuard. Only the trainers' PPO/curiosity/RND losses
+// are compiled into expression graphs (nn/graph.h), cached per batch size
+// inside PpoAgent, SpatialCuriosity and RndCuriosity, one per employee
+// thread.
 #ifndef CEWS_AGENTS_TRAINER_CORE_H_
 #define CEWS_AGENTS_TRAINER_CORE_H_
 

@@ -5,9 +5,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include <sys/mman.h>
+
 #include "common/check.h"
-#include "common/env_flags.h"
-#include "common/stopwatch.h"
 #include "nn/workspace.h"
 #include "obs/metrics.h"
 
@@ -18,8 +18,8 @@ namespace {
 // The recording under construction on this thread (nullptr when idle).
 // Thread-confined by design, mirroring the tape's thread-local grad mode.
 thread_local GraphPtr g_recording;
-// Output-impl -> step index for the active recording (Retain/MarkBoundary
-// and duplicate-output detection).
+// Output-impl -> step index for the active recording (Retain and
+// duplicate-output detection).
 thread_local std::unordered_map<TensorImpl*, int> g_step_of;
 
 // Arena offsets are aligned to 16 floats (64 bytes) so planner slots keep
@@ -28,6 +28,21 @@ constexpr Index kAlignFloats = 16;
 
 Index AlignUp(Index v) {
   return (v + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
+}
+
+/// A graph arena is one large block that lives as long as its graph. It
+/// gets its own zero-filled anonymous mapping instead of a heap block, so
+/// dropping a graph returns the memory to the OS at once: a heap block of
+/// that size would fall under glibc's adaptive mmap threshold after the
+/// first one is freed, and the holes it leaves keep the process's resident
+/// size at the high-water mark of the largest recording.
+std::shared_ptr<float> MapArena(Index floats) {
+  const size_t bytes = static_cast<size_t>(floats) * sizeof(float);
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  CEWS_CHECK(p != MAP_FAILED) << "mapping a " << bytes << "-byte graph arena";
+  return std::shared_ptr<float>(static_cast<float*>(p),
+                                [bytes](float* q) { munmap(q, bytes); });
 }
 
 obs::Counter* CacheHits() {
@@ -40,10 +55,6 @@ obs::Counter* CacheMisses() {
 }
 
 }  // namespace
-
-bool GraphModeEnabled() { return GetEnvBool("CEWS_NN_GRAPH", false); }
-
-bool CheckpointingEnabled() { return GetEnvBool("CEWS_NN_CKPT", false); }
 
 bool Recording() { return g_recording != nullptr; }
 
@@ -64,12 +75,28 @@ std::shared_ptr<OpBuf> AllocBuf(Index n, BufLife life) {
   CEWS_CHECK(g_recording != nullptr)
       << "AllocBuf outside a graph recording; eager ops use the workspace";
   auto buf = std::make_shared<OpBuf>();
-  buf->owned = Workspace::AcquireVec(n);
-  buf->ptr = buf->owned.data();
+  // Backward-only scratch is first touched after Plan() binds it into the
+  // arena; allocating it here would only raise the recording's high-water
+  // mark.
+  if (life != BufLife::kBwd) {
+    buf->owned = Workspace::AcquireVec(n);
+    buf->ptr = buf->owned.data();
+  }
   buf->size = n;
   buf->life = life;
   g_recording->pending_bufs_.push_back(buf);
   return buf;
+}
+
+std::vector<std::shared_ptr<const OpBuf>> RecordedBufs() {
+  std::vector<std::shared_ptr<const OpBuf>> out;
+  if (g_recording == nullptr) return out;
+  for (const CompiledGraph::Step& s : g_recording->steps_) {
+    out.insert(out.end(), s.bufs.begin(), s.bufs.end());
+  }
+  out.insert(out.end(), g_recording->pending_bufs_.begin(),
+             g_recording->pending_bufs_.end());
+  return out;
 }
 
 void BeginRecording() {
@@ -96,14 +123,6 @@ void Retain(const Tensor& t) {
   // Leaves are always owned storage; nothing to pin.
   if (it == g_step_of.end()) return;
   g_recording->steps_[static_cast<size_t>(it->second)].retained = true;
-}
-
-void MarkBoundary(const Tensor& t) {
-  if (g_recording == nullptr) return;
-  CEWS_CHECK(t.defined());
-  auto it = g_step_of.find(t.impl().get());
-  if (it == g_step_of.end()) return;  // leaf checkpoint: already resident
-  g_recording->steps_[static_cast<size_t>(it->second)].boundary = true;
 }
 
 void RecordStep(const Tensor& out,
@@ -197,61 +216,16 @@ void CompiledGraph::Finalize(const Tensor& root) {
     }
   }
 
-  // --- Persistence: memoized values, retained outputs and checkpoint
-  // boundaries keep their own storage; so does the root (callers read the
-  // loss between replays).
-  for (Step& s : steps_) {
-    if (s.memoized || s.retained || s.boundary) s.persistent = true;
-  }
+  // --- Persistence: memoized values and retained outputs keep their own
+  // storage; so does the root (callers read the loss between replays).
   if (root_.defined()) {
     auto it = sidx.find(root_.impl().get());
     if (it != sidx.end()) {
-      Step& rs = steps_[static_cast<size_t>(it->second)];
-      rs.persistent = true;
-      rs.retained = true;
+      steps_[static_cast<size_t>(it->second)].retained = true;
     }
   }
-
-  // --- Checkpoint segmentation. Segments are creation-contiguous runs
-  // ending at a boundary step; the final segment is never recomputed (its
-  // backward runs straight off the forward, so checkpointing it would buy
-  // nothing and cost a recompute).
-  num_segments_ = 1;
-  if (CheckpointingEnabled() && root_.defined()) {
-    int seg = 0;
-    for (int i = 0; i < n; ++i) {
-      steps_[static_cast<size_t>(i)].segment = seg;
-      if (steps_[static_cast<size_t>(i)].boundary && i + 1 < n) ++seg;
-    }
-    num_segments_ = seg + 1;
-    checkpointing_ = num_segments_ >= 2;
-    if (!checkpointing_) {
-      for (Step& s : steps_) s.segment = 0;
-      num_segments_ = 1;
-    }
-  }
-
-  if (checkpointing_) {
-    // Promote interiors consumed across segment lines: their consumer's
-    // forward or backward runs while the producer's segment is not
-    // materialized, so the value must stay resident.
-    for (Step& s : steps_) {
-      for (const auto& in : s.inputs) {
-        auto it = sidx.find(in.get());
-        if (it == sidx.end()) continue;
-        Step& p = steps_[static_cast<size_t>(it->second)];
-        if (p.segment != s.segment) p.persistent = true;
-      }
-    }
-    // Everything else in a non-final segment is dropped after forward and
-    // recomputed (its thunk re-run) just before the segment's backward.
-    for (Step& s : steps_) {
-      s.recomputed =
-          s.segment < num_segments_ - 1 && !s.persistent && !s.memoized;
-    }
-  }
-
-  for (const Step& s : steps_) {
+  for (Step& s : steps_) {
+    s.persistent = s.memoized || s.retained;
     if (s.persistent) {
       persistent_floats_ += static_cast<Index>(s.out->data.size());
     }
@@ -266,14 +240,14 @@ void CompiledGraph::Finalize(const Tensor& root) {
   if (root_.defined()) root_.impl()->graph_exec = this;
 }
 
-// Static memory planning: build a global timeline (forward step times, then
-// per-segment recompute and backward times in execution order), give every
-// non-persistent buffer its liveness interval set on that timeline, and
+// Static memory planning: on a timeline of forward times F(i) = i followed
+// by backward times B(i) (descending creation order, matching the
+// executor), give every non-persistent buffer its liveness interval and
 // first-fit pack them into one arena with slot sharing between
 // liveness-disjoint buffers. Owned trace values are copied into their slots
 // in creation order, which is safe because any slot content that survives
 // to its first post-trace read is written last (later-created items copy
-// later), and everything else is recomputed or rewritten before being read.
+// later), and everything else is rewritten before being read.
 void CompiledGraph::Plan() {
   const int n = static_cast<int>(steps_.size());
   if (n == 0) return;
@@ -290,25 +264,7 @@ void CompiledGraph::Plan() {
     }
   }
 
-  // Timeline: F(i) = i; then, walking segments in backward execution order
-  // (last first), recompute times R ascending within the segment followed by
-  // backward times B descending within it. Globally, B is descending in
-  // creation order within each phase, matching the executor.
-  std::vector<int> B(static_cast<size_t>(n), -1);
-  std::vector<int> R(static_cast<size_t>(n), -1);
-  int t = n;
-  for (int seg = num_segments_ - 1; seg >= 0; --seg) {
-    if (checkpointing_ && seg < num_segments_ - 1) {
-      for (int i = 0; i < n; ++i) {
-        const Step& s = steps_[static_cast<size_t>(i)];
-        if (s.segment == seg && s.recomputed) R[static_cast<size_t>(i)] = t++;
-      }
-    }
-    for (int i = n - 1; i >= 0; --i) {
-      if (steps_[static_cast<size_t>(i)].segment == seg) B[static_cast<size_t>(i)] = t++;
-    }
-  }
-
+  auto backward_time = [n](int i) { return 2 * n - 1 - i; };
   auto runs_backward = [&](int i) {
     const Step& s = steps_[static_cast<size_t>(i)];
     return s.reachable && s.out->backward_fn != nullptr;
@@ -318,7 +274,7 @@ void CompiledGraph::Plan() {
     Index size = 0;
     int created = 0;
     bool copy = false;  // trace value must survive into the slot
-    std::vector<std::pair<int, int>> iv;  // inclusive [start, end] intervals
+    int start = 0, end = 0;  // inclusive liveness interval
     TensorImpl* impl = nullptr;
     OpBuf* buf = nullptr;
     Index offset = 0;
@@ -327,78 +283,54 @@ void CompiledGraph::Plan() {
 
   for (int i = 0; i < n; ++i) {
     Step& s = steps_[static_cast<size_t>(i)];
-    const int Fi = i;
-    const int Bi = B[static_cast<size_t>(i)];
+    const int bi = backward_time(i);
+    const bool bwd = runs_backward(i);
 
     if (!s.persistent && !s.out->data.empty()) {
-      // Forward-read window: this step's own compute plus every consumer's
-      // forward. Cross-segment consumers forced persistence, so consumers
-      // here share the segment.
-      int fwd_end = Fi;
-      int bwd_read = -1;
+      // Live from this step's own compute through every consumer's forward
+      // and through the last backward closure that reads it.
+      int end = i;
       for (int j : consumers[static_cast<size_t>(i)]) {
-        fwd_end = std::max(fwd_end, j);
-        if (runs_backward(j)) bwd_read = std::max(bwd_read, B[static_cast<size_t>(j)]);
-        const int Rj = R[static_cast<size_t>(j)];
-        if (Rj >= 0) bwd_read = std::max(bwd_read, Rj);  // recompute re-reads
+        end = std::max(end, j);
+        if (runs_backward(j)) end = std::max(end, backward_time(j));
       }
-      if (runs_backward(i)) bwd_read = std::max(bwd_read, Bi);
+      if (bwd) end = std::max(end, bi);
       Item item;
       item.size = static_cast<Index>(s.out->data.size());
-      item.created = Fi;
+      item.created = i;
       item.impl = s.out.get();
-      if (s.recomputed) {
-        item.iv.push_back({Fi, fwd_end});
-        const int Ri = R[static_cast<size_t>(i)];
-        item.iv.push_back({Ri, std::max(Ri, bwd_read)});
-        item.copy = false;  // rewritten by recompute before any backward read
-      } else {
-        item.iv.push_back({Fi, std::max(fwd_end, bwd_read)});
-        item.copy = true;
-      }
-      items.push_back(std::move(item));
+      item.start = i;
+      item.end = end;
+      item.copy = true;
+      items.push_back(item);
     }
 
     for (const auto& buf : s.bufs) {
       Item item;
       item.size = buf->size;
-      item.created = Fi;
+      item.created = i;
       item.buf = buf.get();
-      const bool bwd = runs_backward(i);
       switch (buf->life) {
         case BufLife::kFwd:
-          item.iv.push_back({Fi, Fi});
-          if (s.recomputed) {
-            const int Ri = R[static_cast<size_t>(i)];
-            item.iv.push_back({Ri, Ri});
-          }
+          item.start = item.end = i;
           break;
         case BufLife::kSpan:
-          if (s.recomputed) {
-            item.iv.push_back({Fi, Fi});
-            item.iv.push_back({R[static_cast<size_t>(i)], bwd ? Bi : R[static_cast<size_t>(i)]});
-          } else {
-            item.iv.push_back({Fi, bwd ? Bi : Fi});
-            item.copy = bwd;  // forward-written values read by backward
-          }
+          item.start = i;
+          item.end = bwd ? bi : i;
+          item.copy = bwd;  // forward-written values read by backward
           break;
         case BufLife::kBwd:
-          item.iv.push_back({Bi, Bi});
+          item.start = item.end = bi;
           break;
       }
-      items.push_back(std::move(item));
+      items.push_back(item);
     }
   }
 
   if (items.empty()) return;
 
   auto time_overlap = [](const Item& a, const Item& b) {
-    for (const auto& x : a.iv) {
-      for (const auto& y : b.iv) {
-        if (x.first <= y.second && y.first <= x.second) return true;
-      }
-    }
-    return false;
+    return a.start <= b.end && b.start <= a.end;
   };
 
   // First-fit decreasing: place big buffers first, each at the lowest
@@ -433,12 +365,17 @@ void CompiledGraph::Plan() {
     placed.push_back(item);
   }
 
-  arena_ = std::make_shared<std::vector<float>>(static_cast<size_t>(total));
-  float* base = arena_->data();
+  if (total == 0) return;
+  arena_ = MapArena(total);
+  arena_floats_ = total;
+  float* base = arena_.get();
 
   // Bind in creation order (items was built in creation order): where two
   // items share a slot, the later-created one's copy lands last, and it is
   // exactly the one whose value may still be read first after the trace.
+  // The recording pass's storage is freed, not recycled: a compiled graph
+  // never draws on the workspace again, so parking it in the freelists
+  // would only pin the recording's high-water mark for the thread's life.
   for (Item& item : items) {
     float* slot = base + item.offset;
     if (item.impl != nullptr) {
@@ -446,15 +383,14 @@ void CompiledGraph::Plan() {
         std::memcpy(slot, item.impl->data.data(),
                     static_cast<size_t>(item.size) * sizeof(float));
       }
-      Workspace::Recycle(item.impl->data.BindExternal(
-          slot, static_cast<size_t>(item.size), arena_));
+      item.impl->data.BindExternal(slot, static_cast<size_t>(item.size),
+                                   arena_);
     } else {
       if (item.copy && item.size > 0) {
         std::memcpy(slot, item.buf->owned.data(),
                     static_cast<size_t>(item.size) * sizeof(float));
       }
-      Workspace::Recycle(std::move(item.buf->owned));
-      item.buf->owned.clear();
+      std::vector<float>().swap(item.buf->owned);
       item.buf->ptr = slot;
       item.buf->keepalive = arena_;
     }
@@ -499,31 +435,15 @@ void CompiledGraph::Backward() {
   std::fill(root->grad.begin(), root->grad.end(), 0.0f);
   root->grad[0] += 1.0f;
 
-  static obs::Counter* const recompute_ns =
-      obs::GetCounter("nn.graph.recompute_ns");
-  const int n = static_cast<int>(steps_.size());
-  for (int seg = num_segments_ - 1; seg >= 0; --seg) {
-    if (checkpointing_ && seg < num_segments_ - 1) {
-      const uint64_t t0 = Stopwatch::NowNs();
-      for (int i = 0; i < n; ++i) {
-        Step& s = steps_[static_cast<size_t>(i)];
-        if (s.segment == seg && s.recomputed) s.fwd();
-      }
-      recompute_ns->Add(Stopwatch::NowNs() - t0);
-    }
-    // Descending creation order within the segment; segments themselves run
-    // last-to-first, so closure order matches the tape's global descending
-    // creation order node for node.
-    for (int i = n - 1; i >= 0; --i) {
-      Step& s = steps_[static_cast<size_t>(i)];
-      if (s.segment != seg) continue;
-      if (s.reachable && s.out->backward_fn) s.out->backward_fn();
-    }
+  // Descending creation order: the tape's canonical backward order, node
+  // for node.
+  for (auto it = steps_.rbegin(); it != steps_.rend(); ++it) {
+    if (it->reachable && it->out->backward_fn) it->out->backward_fn();
   }
 }
 
 Index CompiledGraph::arena_bytes() const {
-  return arena_ ? static_cast<Index>(arena_->size() * sizeof(float)) : 0;
+  return arena_floats_ * static_cast<Index>(sizeof(float));
 }
 
 Index CompiledGraph::persistent_bytes() const {

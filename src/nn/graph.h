@@ -1,9 +1,11 @@
 // cews::nn::graph — compiled expression graphs over the op layer (ops.h).
 //
-// The tape autograd rebuilds every node, closure and transient buffer from
-// scratch on each training step. This module makes that structure static,
-// following marian's expression-graph design (Node with memoize_, graph-owned
-// tensor allocation) and FreeTensor's recompute-then-grad segment transform:
+// Every training loss (the PPO loss, the shared spatial-curiosity loss, the
+// RND loss) runs through this module; every no-grad forward (acting, value
+// bootstraps, evaluation, serving) runs the ops eagerly instead. A loss is
+// recorded once per batch shape and replayed from then on, following
+// marian's expression-graph design (Node with memoize_, graph-owned tensor
+// allocation):
 //
 //  * Record/replay: between BeginRecording() and EndRecording(), every op
 //    registers its forward thunk alongside the tensor it produced (the op
@@ -20,27 +22,25 @@
 //    intermediate (activations and kernel scratch alike) a fixed offset in
 //    one graph-owned arena, with first-fit slot sharing between
 //    liveness-disjoint buffers. Replaces the per-op pow2-bucket workspace
-//    on the hot path.
-//  * Gradient checkpointing (CEWS_NN_CKPT=1): nn::Checkpoint(t) marks
-//    segment boundaries; interiors of a segment die at the segment's end of
-//    forward and are recomputed (forward thunks re-run) just before the
-//    segment's backward sweep, shrinking peak activation memory.
+//    on the hot path. The arena is its own anonymous memory mapping, so a
+//    dropped graph returns it to the OS at once. Backward-only scratch is
+//    not allocated until the planner binds it, and the recording pass's
+//    own storage is freed once its values are copied into the arena.
 //
-// Equivalence contract: replayed forwards run the very thunks the tape mode
-// executes, backward runs the very closures the tape records, in the same
-// descending-creation order Tensor::Backward() uses (segment-grouped under
-// checkpointing, which preserves that global order). Tape, graph replay and
-// checkpointed replay are therefore bitwise-identical — enforced by
-// tests/nn_graph_test.cc and tests/agents_graph_equivalence_test.cc.
+// Equivalence contract: replayed forwards run the very thunks an eager op
+// executes, and backward runs the very closures the tape records, in the
+// same descending-creation order Tensor::Backward() uses. A compiled loss
+// is therefore bitwise-identical to the same loss built on the tape —
+// enforced by tests/nn_graph_test.cc, and end to end by the pinned
+// final-parameter hashes of tests/agents_graph_equivalence_test.cc.
 //
 // Threading: recordings and CompiledGraphs are thread-confined, exactly like
 // the tape (each employee thread compiles and replays its own graphs).
 //
 // Metrics (cews::obs): nn.graph.cache_hits / cache_misses (shape-signature
 // cache, counted by callers via NoteCacheHit/Miss), nn.graph.plan_bytes
-// (arena bytes planned, cumulative), nn.graph.calls (replays),
-// nn.graph.recompute_ns (checkpoint recompute time, ProfileTable row), and
-// the nn.graph.peak_arena_bytes gauge (largest arena planned so far).
+// (arena bytes planned, cumulative), nn.graph.calls (replays), and the
+// nn.graph.peak_arena_bytes gauge (largest arena planned so far).
 #ifndef CEWS_NN_GRAPH_H_
 #define CEWS_NN_GRAPH_H_
 
@@ -53,14 +53,6 @@
 #include "nn/tensor.h"
 
 namespace cews::nn::graph {
-
-/// True when CEWS_NN_GRAPH is set (read per call so tests can toggle it):
-/// agents compile and replay expression graphs instead of re-taping.
-bool GraphModeEnabled();
-
-/// True when CEWS_NN_CKPT is set: recordings honor nn::Checkpoint()
-/// boundaries and recompute segment interiors during backward.
-bool CheckpointingEnabled();
 
 /// True while this thread is recording a graph.
 bool Recording();
@@ -75,8 +67,11 @@ enum class BufLife {
 
 /// Kernel scratch registered with the recording so the planner can fold it
 /// into the arena. Before planning (and on the recording pass itself) the
-/// storage is an owned workspace vector; after planning, `ptr` points into
-/// the graph arena. Thunks capture the shared handle and call data().
+/// storage is an owned workspace vector — except kBwd scratch, which owns
+/// nothing and has a null data() until planning; after planning, `ptr`
+/// points into the graph arena. Thunks capture the shared handle and call
+/// data(); backward closures treat a null data() as "use workspace
+/// scratch" (an abandoned recording's closures run that way).
 struct OpBuf {
   std::vector<float> owned;
   float* ptr = nullptr;
@@ -96,10 +91,16 @@ struct OpBuf {
 /// one scratch between their forward and backward closure).
 std::shared_ptr<OpBuf> LocalBuf(Index n);
 
-/// Allocates (zero-filled) scratch for the op currently being recorded and
-/// registers it for arena planning. CHECK-fails outside a recording — eager
-/// ops use the workspace instead.
+/// Registers `n` floats of scratch for the op currently being recorded, for
+/// arena planning. kFwd/kSpan scratch is allocated (zero-filled) at once,
+/// since the recording pass runs the forward; kBwd scratch is left
+/// unallocated until Plan() binds it. CHECK-fails outside a recording —
+/// eager ops use the workspace instead.
 std::shared_ptr<OpBuf> AllocBuf(Index n, BufLife life);
+
+/// Scratch registered so far by this thread's active recording, in
+/// registration order (empty when idle). Diagnostics and tests.
+std::vector<std::shared_ptr<const OpBuf>> RecordedBufs();
 
 class CompiledGraph;
 using GraphPtr = std::shared_ptr<CompiledGraph>;
@@ -107,9 +108,9 @@ using GraphPtr = std::shared_ptr<CompiledGraph>;
 /// Starts recording on this thread. CHECK-fails if one is active.
 void BeginRecording();
 
-/// Finishes the recording: runs memoization, segmentation, liveness
-/// planning, binds every planned buffer into the arena, and wires `root`
-/// (the scalar loss; may be undefined for forward-only graphs) to delegate
+/// Finishes the recording: runs memoization and liveness planning, binds
+/// every planned buffer into the arena, and wires `root` (the scalar loss;
+/// may be undefined for forward-only graphs) to delegate
 /// Tensor::Backward() to the graph. The recording pass already executed
 /// every op eagerly, so the returned graph's tensors hold valid outputs and
 /// the first Backward() may run without another Forward().
@@ -127,10 +128,6 @@ void MarkPlaceholder(const Tensor& t);
 /// caller reports, policy outputs a sampler consumes): its storage stays
 /// resident instead of joining the arena slot-sharing.
 void Retain(const Tensor& t);
-
-/// Marks the step that produced `t` as a checkpoint segment boundary (used
-/// by nn::Checkpoint; no-op outside a recording).
-void MarkBoundary(const Tensor& t);
 
 /// Internal: registers one recorded op. `inputs` are all op inputs
 /// (including non-tracked ones — liveness and memoization need them);
@@ -169,26 +166,21 @@ class CompiledGraph {
   void Forward();
 
   /// Runs backward from the root: zeroes interior gradients, seeds the
-  /// root, recomputes checkpoint segments when enabled, and runs the
-  /// recorded closures in descending creation order. Leaf (parameter)
-  /// gradients accumulate across calls, exactly like the tape. CHECK-fails
-  /// on a second Backward() without an intervening Forward(), and on
-  /// forward-only graphs.
+  /// root, and runs the recorded closures in descending creation order.
+  /// Leaf (parameter) gradients accumulate across calls, exactly like the
+  /// tape. CHECK-fails on a second Backward() without an intervening
+  /// Forward(), and on forward-only graphs.
   void Backward();
 
   const Tensor& root() const { return root_; }
 
   /// Planned arena footprint in bytes (slot-shared intermediates+scratch).
   Index arena_bytes() const;
-  /// Bytes of step outputs pinned resident (boundaries, retained, memoized,
-  /// cross-segment promotions).
+  /// Bytes of step outputs pinned resident (retained, memoized, root).
   Index persistent_bytes() const;
 
   int num_steps() const { return static_cast<int>(steps_.size()); }
   int num_memoized() const { return num_memoized_; }
-  int num_segments() const { return num_segments_; }
-  /// True when checkpoint segmentation is active (recompute scheduled).
-  bool checkpointing() const { return checkpointing_; }
 
  private:
   friend void BeginRecording();
@@ -196,24 +188,21 @@ class CompiledGraph {
   friend void AbandonRecording();
   friend void MarkPlaceholder(const Tensor& t);
   friend void Retain(const Tensor& t);
-  friend void MarkBoundary(const Tensor& t);
   friend void RecordStep(const Tensor&,
                          std::vector<std::shared_ptr<TensorImpl>>,
                          std::function<void()>);
   friend std::shared_ptr<OpBuf> AllocBuf(Index n, BufLife life);
+  friend std::vector<std::shared_ptr<const OpBuf>> RecordedBufs();
 
   struct Step {
     std::shared_ptr<TensorImpl> out;
     std::function<void()> fwd;
     std::vector<std::shared_ptr<TensorImpl>> inputs;
     std::vector<std::shared_ptr<OpBuf>> bufs;
-    bool boundary = false;    // checkpoint marker lands on this step
     bool retained = false;    // externally read between replays
     bool memoized = false;    // constant subgraph: run once, skip on replay
     bool persistent = false;  // data stays owned/resident, never arena-shared
     bool reachable = false;   // on a tape path from the root
-    bool recomputed = false;  // re-run during its segment's backward
-    int segment = 0;
   };
 
   CompiledGraph() = default;
@@ -223,11 +212,10 @@ class CompiledGraph {
   std::vector<Step> steps_;
   std::vector<std::shared_ptr<OpBuf>> pending_bufs_;  // recording only
   Tensor root_;
-  std::shared_ptr<std::vector<float>> arena_;
+  std::shared_ptr<float> arena_;  // anonymous mapping, see MapArena
+  Index arena_floats_ = 0;
   Index persistent_floats_ = 0;
   int num_memoized_ = 0;
-  int num_segments_ = 1;
-  bool checkpointing_ = false;
   bool fwd_since_bwd_ = false;
 };
 

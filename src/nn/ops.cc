@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/env_flags.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "nn/gemm.h"
@@ -782,12 +781,6 @@ Tensor GatherLastDim(const Tensor& x,
   return GatherLastDimImpl(x, std::move(idx));
 }
 
-Tensor Checkpoint(const Tensor& t) {
-  CEWS_CHECK(t.defined());
-  if (graph::Recording()) graph::MarkBoundary(t);
-  return t;
-}
-
 namespace {
 
 /// Static geometry of one Conv2d call (im2col formulation). The patch
@@ -883,14 +876,6 @@ void PackBatch(const ConvShape& s, const float* pc, float* pp,
   });
 }
 
-/// When true (default), Conv2d keeps the forward im2col buffer alive inside
-/// the backward closure so dW does not recompute it. CEWS_CONV_CACHE=0
-/// restores the recompute-in-backward behavior (trades time for memory);
-/// read per call so tests can toggle it. Graph recordings always cache:
-/// the cols buffer is planner-managed there, so it costs no extra resident
-/// memory beyond its liveness window.
-bool ConvColsCacheEnabled() { return GetEnvBool("CEWS_CONV_CACHE", true); }
-
 /// The im2col + pack + NNRows forward product shared by the eager path and
 /// the graph thunk. cols/packed are caller scratch of n*ck2*ohow floats
 /// each; all three outputs (cols, packed, po) are fully overwritten.
@@ -922,11 +907,11 @@ void ConvForwardBody(const ConvShape& s, const float* px, const float* pw,
 }
 
 /// The dW/db/dX backward products shared by the eager closure and the graph
-/// closure. `cols` is the cached forward im2col buffer or nullptr (recompute
-/// from the input's current data). The three scratch pointers are nullable:
-/// null falls back to workspace vectors (eager mode); non-null are
-/// planner-assigned slabs — packt n*ck2*ohow, dcols_all n*ck2*ohow and
-/// packdy_all n*oc*ohow floats (per-image slices, dcols re-zeroed here).
+/// closure. `cols` is the forward's im2col buffer, kept alive for dW. The
+/// three scratch pointers are nullable: null falls back to workspace vectors
+/// (eager mode, abandoned recordings); non-null are planner-assigned slabs
+/// — packt n*ck2*ohow, dcols_all n*ck2*ohow and packdy_all n*oc*ohow
+/// floats (per-image slices, dcols re-zeroed here).
 void ConvBackwardBody(const ConvShape& s, uint64_t conv_flops, TensorImpl* o,
                       TensorImpl* ix, TensorImpl* iw, TensorImpl* ib,
                       const float* cols, float* packt_buf, float* dcols_all,
@@ -953,15 +938,7 @@ void ConvBackwardBody(const ConvShape& s, uint64_t conv_flops, TensorImpl* o,
     float* gb = need_db ? ib->grad.data() : nullptr;
     ScopedVec packt(need_dw && packt_buf == nullptr ? s.n * ck2 * ohow : 0);
     float* pt = packt_buf != nullptr ? packt_buf : packt.data();
-    if (need_dw) {
-      ScopedVec recomputed(cols == nullptr ? s.n * ck2 * ohow : 0);
-      const float* pc = cols;
-      if (pc == nullptr) {
-        BatchIm2Col(s, ix->data.data(), recomputed.data());
-        pc = recomputed.data();
-      }
-      PackBatch(s, pc, pt, /*transposed=*/true);
-    }
+    if (need_dw) PackBatch(s, cols, pt, /*transposed=*/true);
     ParallelKernel(s.oc, 2 * s.n * ck2 * ohow, [&](Index o0, Index o1) {
       // Images ascend in the outer loop; every dW/db element still
       // receives its per-image contributions in image order, identical
@@ -1094,8 +1071,8 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
     return r;
   }
 
-  // Eager path. The cols buffer is shared so that, when the cache is on,
-  // the backward closure can reuse it for dW instead of re-unfolding x.
+  // Eager path. The cols buffer is shared so the backward closure can reuse
+  // it for dW instead of re-unfolding x.
   CEWS_TRACE_SCOPE("nn.Conv2d");
   const uint64_t fwd_t0 = Stopwatch::NowNs();
   auto cols = std::make_shared<ScopedVec>(s.n * ck2 * ohow);
@@ -1116,12 +1093,9 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
     auto ix = x.impl();
     auto iw = w.impl();
     auto ib = bias.defined() ? bias.impl() : std::shared_ptr<TensorImpl>();
-    std::shared_ptr<ScopedVec> cached;
-    if (ConvColsCacheEnabled()) cached = cols;
-    r.impl()->backward_fn = [o, ix, iw, ib, s, conv_flops, cached]() {
+    r.impl()->backward_fn = [o, ix, iw, ib, s, conv_flops, cols]() {
       ConvBackwardBody(s, conv_flops, o, ix.get(), iw.get(), ib.get(),
-                       cached ? cached->data() : nullptr, nullptr, nullptr,
-                       nullptr);
+                       cols->data(), nullptr, nullptr, nullptr);
     };
   }
   return r;

@@ -80,12 +80,6 @@ Tensor GatherLastDim(const Tensor& x, const std::vector<Index>& idx);
 Tensor GatherLastDim(const Tensor& x,
                      std::shared_ptr<const std::vector<Index>> idx);
 
-/// Gradient-checkpoint marker (nn/graph.h): inside a graph recording, marks
-/// the step producing `t` as a segment boundary — with CEWS_NN_CKPT=1 the
-/// segment before it is dropped after forward and recomputed during
-/// backward. Identity (returns `t` unchanged) in every mode.
-Tensor Checkpoint(const Tensor& t);
-
 /// 2-D convolution. x: [N, C, H, W], w: [O, C, KH, KW], optional bias [O]
 /// (pass an undefined Tensor for no bias). Zero padding.
 Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,

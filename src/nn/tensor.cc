@@ -174,8 +174,8 @@ void Tensor::Backward() {
   CEWS_CHECK(defined());
   CEWS_CHECK_EQ(numel(), 1) << "Backward() requires a scalar loss";
   if (impl_->graph_exec != nullptr) {
-    // Compiled-graph root: the executor owns ordering, interior-grad zeroing
-    // and (when enabled) segment recomputation.
+    // Compiled-graph root: the executor owns ordering and interior-grad
+    // zeroing.
     impl_->graph_exec->Backward();
     return;
   }
@@ -202,8 +202,8 @@ void Tensor::Backward() {
   }
   // Descending creation order is a valid reverse topological order (an op's
   // inputs always predate its output) and is the one canonical backward
-  // order shared with graph replay and checkpointed replay, so all three
-  // accumulate shared-parent gradients in the same sequence.
+  // order shared with graph replay, so both accumulate shared-parent
+  // gradients in the same sequence.
   std::sort(nodes.begin(), nodes.end(),
             [](const TensorImpl* a, const TensorImpl* b) {
               return a->seq > b->seq;

@@ -1,15 +1,14 @@
 // Dense float tensor with reverse-mode automatic differentiation.
 //
 // This is the substrate that replaces TensorFlow/PyTorch for the paper's
-// networks. Two execution modes share the same op layer (ops.h):
-//  * Tape (default): every op runs eagerly and records a backward closure on
-//    the tensor it produces; Tensor::Backward() runs the tape in reverse
-//    creation order.
-//  * Expression graph (CEWS_NN_GRAPH=1, nn/graph.h): while a graph recording
-//    is active each op additionally registers its forward thunk, so the
-//    whole forward DAG can be replayed against new placeholder inputs
-//    without rebuilding a single node, with all intermediates living at
-//    planner-assigned offsets in one graph-owned arena.
+// networks. Every op runs eagerly and, in grad mode, records a backward
+// closure on the tensor it produces; Tensor::Backward() runs that tape in
+// reverse creation order. The agents' training losses are additionally
+// compiled (nn/graph.h): while a graph recording is active each op also
+// registers its forward thunk, so the whole loss DAG is replayed against
+// new placeholder inputs without rebuilding a single node, with all
+// intermediates living at planner-assigned offsets in one graph-owned
+// arena. No-grad forwards (acting, evaluation, serving) stay eager.
 //
 // Design notes:
 //  * Tensor is a cheap value-semantics handle (shared_ptr to TensorImpl).
@@ -17,8 +16,8 @@
 //    contributions; call ZeroGrad()/Optimizer::ZeroGrad() between steps.
 //  * Backward() runs closures in descending creation order (a valid reverse
 //    topological order, since every op's inputs exist before its output).
-//    The graph executor uses the same order, segment by segment, which is
-//    what makes tape, graph replay and checkpointed replay bitwise-identical.
+//    The graph executor uses the same order, which is what makes the tape
+//    and graph replay bitwise-identical.
 //  * Tape construction is gated by a thread-local grad mode (NoGradGuard),
 //    so rollout-time forwards pay no tape cost. Each employee thread builds
 //    its own graphs; there is no cross-thread sharing of TensorImpl.

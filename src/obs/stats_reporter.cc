@@ -124,9 +124,10 @@ std::string StatsReporter::FormatHeartbeat(const MetricsSnapshot& prev,
     line += buf;
   }
 
-  // Expression-graph backend (CEWS_NN_GRAPH=1): replay rate, shape-cache
-  // hit ratio and the largest planned activation arena. Gated on any
-  // compiled-graph call having happened — tape-mode runs keep the old line.
+  // Compiled loss graphs (nn/graph.h): replay rate, shape-cache hit ratio
+  // and the largest planned activation arena. Gated on any compiled-graph
+  // replay having happened — serve-only and eval-only runs keep the old
+  // line.
   if (cur.CounterValue("nn.graph.calls") > 0) {
     const uint64_t replays =
         cur.CounterValue("nn.graph.calls") - prev.CounterValue("nn.graph.calls");

@@ -1,26 +1,27 @@
-// The expression-graph acceptance bar (nn/graph.h): full training runs —
-// PPO + spatial curiosity and PPO + RND — must produce bitwise-identical
-// final parameters with CEWS_NN_GRAPH=1 (compiled forward replay) as with
-// the per-call tape, at several thread-pool widths, and gradient
-// checkpointing (CEWS_NN_CKPT=1) must not change a single bit either.
+// The compiled-loss acceptance bar (nn/graph.h): full training runs — PPO
+// with spatial curiosity, with RND, and with no intrinsic module — compile
+// every loss, and must end on exactly the final parameters the per-call
+// tape produced for the same configuration, at several thread-pool widths.
+// The tape results are pinned below as CRC-32s of the flattened final
+// global parameters.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "agents/chief_employee.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "env/map.h"
-#include "nn/graph.h"
 #include "nn/params.h"
 #include "obs/metrics.h"
 
 namespace cews::agents {
 namespace {
 
-env::Map SmallMap(uint64_t seed = 42) {
+env::Map SmallMap(uint64_t seed) {
   env::MapConfig config;
   config.num_pois = 30;
   config.num_workers = 2;
@@ -53,70 +54,68 @@ TrainerConfig TinyConfig(IntrinsicMode intrinsic) {
 
 /// One full training run; returns the flattened final global parameters.
 std::vector<float> Train(const env::Map& map, IntrinsicMode intrinsic,
-                         bool graph, bool ckpt, int pool_threads) {
-  setenv("CEWS_NN_GRAPH", graph ? "1" : "0", 1);
-  setenv("CEWS_NN_CKPT", ckpt ? "1" : "0", 1);
+                         int pool_threads) {
   runtime::SetGlobalPoolThreads(pool_threads);
   TrainerConfig config = TinyConfig(intrinsic);
   config.net.num_workers = static_cast<int>(map.worker_spawns.size());
   config.net.num_moves = config.env.action_space.num_moves();
   ChiefEmployeeTrainer trainer(config, map);
   trainer.Train();
-  std::vector<float> flat = nn::FlattenValues(trainer.global_net().Parameters());
+  std::vector<float> flat =
+      nn::FlattenValues(trainer.global_net().Parameters());
   runtime::SetGlobalPoolThreads(1);
-  unsetenv("CEWS_NN_GRAPH");
-  unsetenv("CEWS_NN_CKPT");
   return flat;
 }
 
-void ExpectBitwise(const std::vector<float>& want,
-                   const std::vector<float>& got, const std::string& label) {
-  ASSERT_EQ(want.size(), got.size()) << label;
-  for (size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(want[i], got[i]) << label << ": parameter " << i;
+uint32_t Hash(const std::vector<float>& v) {
+  Crc32 crc;
+  crc.Update(v.data(), v.size() * sizeof(float));
+  return crc.Value();
+}
+
+/// The pins hold for the default optimized x86-64 build with FMA
+/// contraction (-march=native on any FMA-capable host). Other builds —
+/// unoptimized, sanitizer-instrumented, or without FMA — contract and
+/// vectorize the kernels differently, so there the runs are only checked
+/// against each other.
+#if defined(__x86_64__) && defined(__FMA__) && defined(__OPTIMIZE__) && \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+constexpr bool kPinsApply = true;
+#else
+constexpr bool kPinsApply = false;
+#endif
+
+/// Trains at pool widths {0, 1, 2, 4} (0 resolves to all hardware cores)
+/// and checks every run's final parameters against the pinned tape hash.
+void ExpectPinnedTapeHash(IntrinsicMode intrinsic, uint64_t map_seed,
+                          uint32_t pinned, const std::string& label) {
+  const env::Map map = SmallMap(map_seed);
+  std::vector<uint32_t> hashes;
+  for (int threads : {0, 1, 2, 4}) {
+    const std::vector<float> params = Train(map, intrinsic, threads);
+    ASSERT_EQ(params.size(), 3951u) << label;
+    hashes.push_back(Hash(params));
+    EXPECT_EQ(hashes.back(), kPinsApply ? pinned : hashes.front())
+        << label << ", pool=" << threads;
   }
 }
 
-TEST(GraphEquivalence, CuriosityTrainingBitwiseTapeVsGraph) {
-  const env::Map map = SmallMap();
-  const std::vector<float> tape =
-      Train(map, IntrinsicMode::kSpatialCuriosity, false, false, 1);
-
+TEST(GraphEquivalence, CuriosityTrainingMatchesPinnedTapeHash) {
   const uint64_t hits0 =
       obs::SnapshotMetrics().CounterValue("nn.graph.cache_hits");
-  // 0 resolves to all hardware cores (ResolveNumThreads).
-  for (int threads : {0, 1, 2, 4}) {
-    const std::vector<float> graph =
-        Train(map, IntrinsicMode::kSpatialCuriosity, true, false, threads);
-    ExpectBitwise(tape, graph,
-                  "curiosity graph, pool=" + std::to_string(threads));
-  }
-  // The graph runs actually replayed cached graphs (PPO loss + curiosity
-  // loss + serve forwards all revisit the same batch shapes).
+  ExpectPinnedTapeHash(IntrinsicMode::kSpatialCuriosity, 42, 0x7dd4386cu,
+                       "curiosity");
+  // The runs actually replayed cached graphs (the PPO loss and the
+  // curiosity loss both revisit the same batch shapes).
   EXPECT_GT(obs::SnapshotMetrics().CounterValue("nn.graph.cache_hits"), hits0);
 }
 
-TEST(GraphEquivalence, RndTrainingBitwiseTapeVsGraph) {
-  const env::Map map = SmallMap(7);
-  const std::vector<float> tape =
-      Train(map, IntrinsicMode::kRnd, false, false, 1);
-  for (int threads : {1, 4}) {
-    const std::vector<float> graph =
-        Train(map, IntrinsicMode::kRnd, true, false, threads);
-    ExpectBitwise(tape, graph, "rnd graph, pool=" + std::to_string(threads));
-  }
+TEST(GraphEquivalence, RndTrainingMatchesPinnedTapeHash) {
+  ExpectPinnedTapeHash(IntrinsicMode::kRnd, 7, 0x6845c206u, "rnd");
 }
 
-TEST(GraphEquivalence, CheckpointBitwise) {
-  // Checkpointed replay recomputes the conv-trunk segments during backward;
-  // the canonical creation-order backward makes that bitwise-identical to
-  // the keep-everything plan, not merely close.
-  const env::Map map = SmallMap();
-  const std::vector<float> graph =
-      Train(map, IntrinsicMode::kSpatialCuriosity, true, false, 1);
-  const std::vector<float> ckpt =
-      Train(map, IntrinsicMode::kSpatialCuriosity, true, true, 1);
-  ExpectBitwise(graph, ckpt, "ckpt");
+TEST(GraphEquivalence, NoIntrinsicTrainingMatchesPinnedTapeHash) {
+  ExpectPinnedTapeHash(IntrinsicMode::kNone, 42, 0x61e2aef0u, "none");
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 // kernel calls never touch the allocator; the reuse counters are the proof.
 #include "nn/gemm.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -217,52 +216,6 @@ TEST(WorkspaceChurnTest, KernelStepsAreAllocationFreeInSteadyState) {
   const Workspace::Stats s1 = Workspace::GlobalStats();
   EXPECT_EQ(s1.misses, s0.misses) << "steady-state step hit the allocator";
   EXPECT_GT(s1.reuse_hits, s0.reuse_hits);
-}
-
-TEST(WorkspaceChurnTest, ConvCacheOffStaysAllocationFreeToo) {
-  runtime::SetGlobalPoolThreads(1);
-  setenv("CEWS_CONV_CACHE", "0", 1);
-  Tensor a = Tensor::FromData({16, 48}, RandomData(16 * 48, 3), true);
-  Tensor b = Tensor::FromData({48, 24}, RandomData(48 * 24, 5), true);
-  Tensor x = Tensor::FromData({2, 3, 10, 10}, RandomData(600, 7), true);
-  Tensor w = Tensor::FromData({4, 3, 3, 3}, RandomData(108, 9), true);
-  Tensor bias = Tensor::FromData({4}, RandomData(4, 11), true);
-  for (int i = 0; i < 3; ++i) KernelStep(a, b, x, w, bias);
-  const Workspace::Stats s0 = Workspace::GlobalStats();
-  for (int i = 0; i < 5; ++i) KernelStep(a, b, x, w, bias);
-  const Workspace::Stats s1 = Workspace::GlobalStats();
-  unsetenv("CEWS_CONV_CACHE");
-  EXPECT_EQ(s1.misses, s0.misses);
-}
-
-struct ConvRun {
-  std::vector<float> out;
-  std::vector<float> dx, dw, db;
-};
-
-ConvRun RunConvForwardBackward() {
-  Tensor x = Tensor::FromData({2, 3, 8, 8}, RandomData(384, 51), true);
-  Tensor w = Tensor::FromData({5, 3, 3, 3}, RandomData(135, 53), true);
-  Tensor bias = Tensor::FromData({5}, RandomData(5, 57), true);
-  Tensor y = Conv2d(x, w, bias, /*stride=*/1, /*padding=*/1);
-  Mean(Square(y)).Backward();
-  auto vec = [](const float* p, Index n) {
-    return std::vector<float>(p, p + n);
-  };
-  return {vec(y.data(), y.numel()), vec(x.grad(), x.numel()),
-          vec(w.grad(), w.numel()), vec(bias.grad(), bias.numel())};
-}
-
-TEST(ConvColsCacheTest, DisablingCacheIsBitwiseNeutral) {
-  runtime::SetGlobalPoolThreads(1);
-  const ConvRun cached = RunConvForwardBackward();
-  setenv("CEWS_CONV_CACHE", "0", 1);
-  const ConvRun recomputed = RunConvForwardBackward();
-  unsetenv("CEWS_CONV_CACHE");
-  ExpectBitwiseEqual(cached.out, recomputed.out, "conv out");
-  ExpectBitwiseEqual(cached.dx, recomputed.dx, "conv dx");
-  ExpectBitwiseEqual(cached.dw, recomputed.dw, "conv dw");
-  ExpectBitwiseEqual(cached.db, recomputed.db, "conv db");
 }
 
 }  // namespace

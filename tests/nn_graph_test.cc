@@ -1,12 +1,12 @@
 // Compiled expression graphs (nn/graph.h): replay correctness against the
 // tape (bitwise), constant-subgraph memoization, static arena planning,
-// steady-state zero workspace churn, gradient checkpointing, and the
-// double-backward / forward-only guard rails.
+// steady-state zero workspace churn, the recording's memory high-water mark
+// (deferred backward scratch, freed trace storage), and the
+// double-backward / forward-only / abandoned-recording guard rails.
 #include "nn/graph.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -63,10 +63,14 @@ Tensor MlpLoss(const MlpParams& p, const Tensor& x,
   return Add(Neg(Mean(picked)), MulScalar(Mean(Square(both)), 0.25f));
 }
 
-/// A 3-block conv chain with checkpoint markers after the first two ReLUs —
-/// the cnn_trunk shape in miniature.
+/// Input shape of the conv-chain tests.
+const Shape kConvInput{2, 2, 6, 6};
+
+/// A 3-block conv chain feeding a linear head — the cnn_trunk + policy-head
+/// shape in miniature, so the loss exercises both the Conv2d and the MatMul
+/// backward scratch.
 struct ConvParams {
-  Tensor w1, b1, w2, b2, w3, b3;
+  Tensor w1, b1, w2, b2, w3, b3, fc;
 
   static ConvParams Make(uint64_t seed) {
     Rng rng(seed);
@@ -82,19 +86,24 @@ struct ConvParams {
     p.b2 = t({4}, 0.2f);
     p.w3 = t({2, 4, 3, 3}, 0.3f);
     p.b3 = t({2}, 0.2f);
+    p.fc = t({2 * kConvInput[2] * kConvInput[3], 3}, 0.2f);
     return p;
   }
 
-  std::vector<Tensor> All() const { return {w1, b1, w2, b2, w3, b3}; }
+  std::vector<Tensor> All() const { return {w1, b1, w2, b2, w3, b3, fc}; }
 };
 
 Tensor ConvLoss(const ConvParams& p, const Tensor& x) {
-  Tensor h = Conv2d(x, p.w1, p.b1, 1, 1);
-  h = Checkpoint(Relu(h));
-  h = Conv2d(h, p.w2, p.b2, 1, 1);
-  h = Checkpoint(Relu(h));
-  h = Conv2d(h, p.w3, p.b3, 1, 1);
-  return Mean(Square(Relu(h)));
+  Tensor h = Relu(Conv2d(x, p.w1, p.b1, 1, 1));
+  h = Relu(Conv2d(h, p.w2, p.b2, 1, 1));
+  h = Relu(Conv2d(h, p.w3, p.b3, 1, 1));
+  h = Reshape(h, {x.dim(0), h.numel() / x.dim(0)});
+  return Mean(Square(MatMul(h, p.fc)));
+}
+
+Tensor RandConvInput(Rng& rng) {
+  return Tensor::FromData(
+      kConvInput, RandVec(static_cast<size_t>(NumElements(kConvInput)), rng));
 }
 
 std::vector<std::vector<float>> Grads(const std::vector<Tensor>& params) {
@@ -108,6 +117,19 @@ std::vector<std::vector<float>> Grads(const std::vector<Tensor>& params) {
     out.emplace_back(t.grad(), t.grad() + t.numel());
   }
   return out;
+}
+
+void ExpectSameGrads(const std::vector<Tensor>& want_params,
+                     const std::vector<Tensor>& got_params) {
+  const auto want = Grads(want_params);
+  const auto got = Grads(got_params);
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i].size(), got[i].size());
+    for (size_t j = 0; j < want[i].size(); ++j) {
+      EXPECT_EQ(want[i][j], got[i][j]) << "param " << i << " elem " << j;
+    }
+  }
 }
 
 TEST(GraphTest, ReplayMatchesTapeBitwise) {
@@ -162,14 +184,7 @@ TEST(GraphTest, ReplayMatchesTapeBitwise) {
     loss.Backward();
   }
 
-  const auto want = Grads(tape.All());
-  const auto got = Grads(gp.All());
-  for (size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(want[i].size(), got[i].size());
-    for (size_t j = 0; j < want[i].size(); ++j) {
-      EXPECT_EQ(want[i][j], got[i][j]) << "param " << i << " elem " << j;
-    }
-  }
+  ExpectSameGrads(tape.All(), gp.All());
 }
 
 TEST(GraphTest, MemoizesConstantSubgraphs) {
@@ -225,9 +240,8 @@ TEST(GraphTest, SteadyStateReplayHasZeroWorkspaceChurn) {
   // kernel scratch lives at a planned arena offset.
   ConvParams p = ConvParams::Make(11);
   Rng rng(12);
-  const Shape xshape{2, 2, 6, 6};
-  Tensor x = Tensor::FromData(
-      xshape, RandVec(static_cast<size_t>(NumElements(xshape)), rng));
+  const Shape& xshape = kConvInput;
+  Tensor x = RandConvInput(rng);
   graph::BeginRecording();
   graph::MarkPlaceholder(x);
   Tensor loss = ConvLoss(p, x);
@@ -252,71 +266,40 @@ TEST(GraphTest, SteadyStateReplayHasZeroWorkspaceChurn) {
   EXPECT_EQ(after.misses - before.misses, 0u);
 }
 
-TEST(GraphTest, CheckpointingIsBitwiseAndShrinksArena) {
-  Rng rng(21);
-  const Shape xshape{2, 2, 8, 8};
-  std::vector<std::vector<float>> batches;
-  for (int it = 0; it < 3; ++it) {
-    batches.push_back(RandVec(static_cast<size_t>(NumElements(xshape)), rng));
-  }
+TEST(GraphTest, RecordingDefersBackwardScratchAndFreesTraceStorage) {
+  ConvParams tape = ConvParams::Make(51);
+  ConvParams gp = ConvParams::Make(51);
+  Rng rng(52);
+  Tensor x = RandConvInput(rng);
+  ConvLoss(tape, x.Clone()).Backward();
 
-  auto run = [&](bool ckpt) {
-    setenv("CEWS_NN_CKPT", ckpt ? "1" : "0", 1);
-    ConvParams p = ConvParams::Make(33);
-    Tensor x = Tensor::FromData(xshape, batches[0]);
-    graph::BeginRecording();
-    graph::MarkPlaceholder(x);
-    Tensor loss = ConvLoss(p, x);
-    graph::GraphPtr g = graph::EndRecording(loss);
-    EXPECT_EQ(g->checkpointing(), ckpt);
-    if (ckpt) {
-      EXPECT_GE(g->num_segments(), 3);
-    }
-    std::vector<float> losses;
-    for (int it = 0; it < 3; ++it) {
-      if (it > 0) {
-        std::copy(batches[static_cast<size_t>(it)].begin(),
-                  batches[static_cast<size_t>(it)].end(), x.data());
-        g->Forward();
-      }
-      losses.push_back(loss.item());
-      loss.Backward();
-    }
-    struct Result {
-      std::vector<float> losses;
-      std::vector<std::vector<float>> grads;
-      Index arena = 0;
-    } r;
-    r.losses = std::move(losses);
-    r.grads = Grads(p.All());
-    r.arena = g->arena_bytes();
-    return r;
-  };
-
-  const uint64_t recompute0 =
-      obs::SnapshotMetrics().CounterValue("nn.graph.recompute_ns");
-  const auto off = run(false);
-  const auto on = run(true);
-  unsetenv("CEWS_NN_CKPT");
-
-  ASSERT_EQ(off.losses.size(), on.losses.size());
-  for (size_t i = 0; i < off.losses.size(); ++i) {
-    EXPECT_EQ(off.losses[i], on.losses[i]);
+  graph::BeginRecording();
+  graph::MarkPlaceholder(x);
+  Tensor loss = ConvLoss(gp, x);
+  // Backward-only scratch (Conv2d dW/dX panels, MatMul dA/dB panels) is
+  // registered but owns no storage while recording.
+  int backward_bufs = 0;
+  for (const auto& buf : graph::RecordedBufs()) {
+    if (buf->life != graph::BufLife::kBwd) continue;
+    ++backward_bufs;
+    EXPECT_EQ(buf->data(), nullptr);
+    EXPECT_TRUE(buf->owned.empty());
   }
-  ASSERT_EQ(off.grads.size(), on.grads.size());
-  for (size_t i = 0; i < off.grads.size(); ++i) {
-    ASSERT_EQ(off.grads[i].size(), on.grads[i].size());
-    for (size_t j = 0; j < off.grads[i].size(); ++j) {
-      EXPECT_EQ(off.grads[i][j], on.grads[i][j])
-          << "param " << i << " elem " << j;
-    }
-  }
-  // Dropping the two checkpointed conv-block activation sets must shrink
-  // the planned arena.
-  EXPECT_LT(on.arena, off.arena);
-  // Recompute time was recorded.
-  EXPECT_GT(obs::SnapshotMetrics().CounterValue("nn.graph.recompute_ns"),
-            recompute0);
+  // conv1: the dW panel; conv2 and conv3: the dW panel plus two dX slabs;
+  // MatMul: the dA and dB panels.
+  EXPECT_EQ(backward_bufs, 9);
+
+  // Planning frees the recording pass's storage rather than parking it in
+  // the workspace freelists.
+  const int64_t parked = Workspace::GlobalStats().bytes_in_use;
+  graph::GraphPtr g = graph::EndRecording(loss);
+  EXPECT_LE(Workspace::GlobalStats().bytes_in_use, parked);
+  EXPECT_TRUE(graph::RecordedBufs().empty());
+
+  // The planned graph's backward (now on arena-bound scratch) matches the
+  // tape.
+  loss.Backward();
+  ExpectSameGrads(tape.All(), gp.All());
 }
 
 TEST(GraphDeathTest, DoubleBackwardOnGraphRootDies) {
@@ -378,6 +361,21 @@ TEST(GraphTest, AbandonRecordingLeavesTapeTensorsValid) {
   for (Index i = 0; i < 3; ++i) {
     EXPECT_FLOAT_EQ(w.grad()[i], 2.0f * w.data()[i]);
   }
+
+  // A conv + matmul loss abandoned mid-recording never had its
+  // backward-only scratch allocated: its closures must fall back to
+  // workspace scratch and still match the tape bitwise.
+  ConvParams tape = ConvParams::Make(61);
+  ConvParams abandoned = ConvParams::Make(61);
+  Tensor x = RandConvInput(rng);
+  Tensor want = ConvLoss(tape, x.Clone());
+  want.Backward();
+  graph::BeginRecording();
+  Tensor loss = ConvLoss(abandoned, x);
+  graph::AbandonRecording();
+  EXPECT_EQ(loss.item(), want.item());
+  loss.Backward();
+  ExpectSameGrads(tape.All(), abandoned.All());
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 # expression-graph engine, both trainers, the serve and dist subsystems)
 # and an ASan+UBSan build of the vectorized acting path (VecEnv, trainer
 # core, both trainers) plus the graph, serve, dist and
-# checkpoint-serialization tests, ending with the gradient-checkpointing
-# bitwise guard and a multi-process train-dist smoke that must drive the
+# checkpoint-serialization tests, ending with the compiled-loss pinned-hash
+# guard and a multi-process train-dist smoke that must drive the
 # publish gate through a reject-then-accept sequence into a live fleet,
 # whose trained snapshot then backs an int8 serve smoke (the startup
 # agreement gate must clear 99%). Both sanitizer passes include the int8
@@ -169,16 +169,16 @@ else
   echo "== asan+ubsan: vec acting + serve + dist path tests =="
   (cd "$repo/build-asan" && ctest --output-on-failure -j "$jobs" -R \
     "env_vec_env_test|agents_trainer_core_test|agents_vec_equivalence_test|agents_trainer_test|agents_async_test|nn_gemm_test|nn_quant_test|nn_graph_test|agents_graph_equivalence_test|nn_serialize_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
-
-  echo "== graph: checkpoint bitwise guard =="
-  # Gradient checkpointing must never change training numerics: replaying
-  # the recompute-from-boundary plan has to reproduce the keep-everything
-  # plan bit for bit (same creation-order backward). Runs the dedicated
-  # equivalence filter in the plain build so a planner regression fails the
-  # check even when both sanitizer passes are skipped.
-  "$repo/build/tests/agents_graph_equivalence_test" \
-    --gtest_filter='*CheckpointBitwise*'
 fi
+
+echo "== graph: compiled-loss pinned-hash guard =="
+# Compiling the training losses must never change training numerics: full
+# training runs (spatial curiosity, RND, no intrinsic module) at pool widths
+# 0/1/2/4 must end on the final-parameter hashes pinned from the per-call
+# tape. Runs in the plain build so a planner or executor regression fails
+# the check even when both sanitizer passes are skipped.
+"$repo/build/tests/agents_graph_equivalence_test" \
+  --gtest_filter='*PinnedTapeHash*'
 
 echo "== dist: multi-process train-dist + publish-gate smoke =="
 # End-to-end exercise of the distributed trainer: a chief forks two

@@ -1,100 +1,25 @@
 // The chief-employee distributed computational architecture (Section V-A,
-// Algorithms 1-2): synchronous employee threads roll out local environments
-// with local model copies, compute gradients, and push them into two global
-// gradient buffers (PPO + curiosity); the chief sums the buffers, steps the
-// global Adam optimizers, and releases the employees to copy parameters back.
+// Algorithms 1-2), in one process: threads that run the employee and
+// learner cores it shares with cews::dist (agents/trainer_core.h). Each
+// employee thread runs an EmployeeCore — rollout, then per update round a
+// clipped gradient that it adds into two global gradient buffers (PPO +
+// intrinsic). At the barrier the chief applies the summed buffers with
+// LearnerCore::ApplySummedGradients (the paper's rule) and releases the
+// employees to copy the new parameters. The threads, the barrier, the
+// gradient buffers, heat-map snapshots and checkpoints live here; the cores
+// own every model, seed and update step.
 #ifndef CEWS_AGENTS_CHIEF_EMPLOYEE_H_
 #define CEWS_AGENTS_CHIEF_EMPLOYEE_H_
 
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "agents/curiosity.h"
-#include "agents/policy_net.h"
-#include "agents/ppo.h"
-#include "agents/rnd.h"
+#include "agents/trainer_core.h"
 #include "common/barrier.h"
-#include "env/env.h"
-#include "env/state_encoder.h"
-#include "nn/optimizer.h"
+#include "env/map.h"
 
 namespace cews::agents {
-
-/// Which extrinsic reward the agent trains on (Fig. 5 compares all four
-/// combinations of {dense, sparse} x {with, without curiosity}).
-enum class RewardMode { kSparse, kDense };
-
-/// Which intrinsic-reward module augments the extrinsic reward.
-enum class IntrinsicMode { kNone, kSpatialCuriosity, kRnd };
-
-/// Full training configuration.
-struct TrainerConfig {
-  /// Number of employee threads (Table II sweeps 1..16; paper picks 8).
-  int num_employees = 8;
-  /// Training episodes (each episode is synchronized across employees).
-  int episodes = 200;
-  /// Minibatch size per update round (Table II sweeps 50..500; paper: 250).
-  int batch_size = 250;
-  /// Update rounds K per episode (Algorithm 1, line 17).
-  int update_epochs = 4;
-
-  /// Intra-op worker threads for the NN kernel runtime
-  /// (common/thread_pool.h), shared process-wide by all employees. 1 keeps
-  /// kernels serial (default); 0 sizes the pool to the hardware cores. The
-  /// CEWS_NUM_THREADS environment variable overrides either. Kernel results
-  /// are bitwise-identical at any setting.
-  int runtime_threads = 1;
-
-  /// Environment instances each employee drives through the vectorized
-  /// acting path (env::VecEnv + one batched Forward per lockstep step).
-  /// 1 reproduces the legacy single-env employee bitwise; larger values
-  /// collect envs_per_employee episodes per training episode and batch
-  /// their action selection, which is where the intra-op kernel runtime
-  /// pays off during rollouts.
-  int envs_per_employee = 1;
-
-  PolicyNetConfig net;
-  PpoConfig ppo;
-
-  IntrinsicMode intrinsic = IntrinsicMode::kSpatialCuriosity;
-  CuriosityConfig curiosity;  // num_cells/num_moves/num_workers auto-filled
-  RndConfig rnd;              // state_size auto-filled
-  /// When false the intrinsic module is still trained and its values are
-  /// recorded (heat maps), but the reward the agent optimizes excludes
-  /// r^int. Used to visualize curiosity under DPPO (Fig. 9, bottom row).
-  bool add_intrinsic_to_reward = true;
-
-  /// Multiplies the stored training reward (extrinsic + intrinsic). Keeps
-  /// discounted returns O(1) so the value head tracks them within a short
-  /// training budget; metrics and reported rewards are unscaled.
-  float reward_scale = 1.0f;
-
-  /// When true, replaces the fixed reward_scale with adaptive scaling by
-  /// the running std of the discounted return (reward_normalizer.h).
-  bool normalize_rewards = false;
-
-  RewardMode reward_mode = RewardMode::kSparse;
-  env::EnvConfig env;
-  env::StateEncoderConfig encoder;
-  uint64_t seed = 1;
-
-  /// Log a one-line training heartbeat (episodes/s, steps/s, loss, kappa,
-  /// xi, rho, pool utilization) every this many seconds while Train() runs
-  /// (obs/stats_reporter.h). <= 0 disables.
-  double heartbeat_seconds = 0.0;
-
-  /// Record a curiosity heat-map snapshot every this many episodes
-  /// (0 disables; used by the Fig. 9 bench).
-  int heatmap_snapshot_every = 0;
-
-  /// Periodically save the global policy parameters for offline testing
-  /// ("the parameters in DNNs are periodically saved", Section VI-D).
-  /// 0 disables. Files are "<checkpoint_prefix><episode>.bin".
-  int checkpoint_every = 0;
-  std::string checkpoint_prefix = "cews_ckpt_";
-};
 
 /// Per-episode training diagnostics, averaged over employees.
 struct EpisodeRecord {
@@ -128,7 +53,6 @@ class ChiefEmployeeTrainer {
   /// The map is copied into every employee's local environment so all
   /// employees train on the same scenario with independent stochasticity.
   ChiefEmployeeTrainer(const TrainerConfig& config, env::Map map);
-  ~ChiefEmployeeTrainer();
 
   ChiefEmployeeTrainer(const ChiefEmployeeTrainer&) = delete;
   ChiefEmployeeTrainer& operator=(const ChiefEmployeeTrainer&) = delete;
@@ -138,8 +62,8 @@ class ChiefEmployeeTrainer {
   TrainResult Train();
 
   /// The global policy model (Section VI-D testing uses only this).
-  PolicyNet& global_net() { return *global_net_; }
-  const PolicyNet& global_net() const { return *global_net_; }
+  PolicyNet& global_net() { return learner_.net(); }
+  const PolicyNet& global_net() const { return learner_.net(); }
 
   /// Heat-map snapshots collected when heatmap_snapshot_every > 0.
   const std::vector<HeatmapSnapshot>& heatmap_snapshots() const {
@@ -157,19 +81,13 @@ class ChiefEmployeeTrainer {
   };
 
   void EmployeeLoop(int employee_id);
-  /// Runs on the last barrier arriver: applies both gradient buffers.
-  void ChiefApplyGradients();
+  /// Runs on the last barrier arriver once per episode: sums the employees'
+  /// heat-map windows into a snapshot when one is due.
   void MaybeSnapshotHeatmap(int episode);
 
   TrainerConfig config_;
   env::Map map_;
-  env::StateEncoder encoder_;
-
-  std::unique_ptr<PolicyNet> global_net_;
-  std::unique_ptr<nn::Adam> ppo_optimizer_;
-  std::unique_ptr<SpatialCuriosity> global_curiosity_;
-  std::unique_ptr<RndCuriosity> global_rnd_;
-  std::unique_ptr<nn::Adam> intrinsic_optimizer_;
+  LearnerCore learner_;
 
   // Global gradient buffers (Fig. 1 center) and their lock.
   std::mutex buffer_mu_;
@@ -182,14 +100,11 @@ class ChiefEmployeeTrainer {
   std::mutex stats_mu_;
   std::vector<EpisodeAccumulator> episode_accum_;
 
-  // Curiosity heat map (Fig. 9): per-cell sum and visit count in the
-  // current snapshot window.
-  std::vector<double> heatmap_sum_;
-  std::vector<int64_t> heatmap_count_;
+  // Curiosity heat map (Fig. 9): one accumulator per employee for the
+  // current snapshot window, empty when snapshots are off. Each employee
+  // writes only its own; the chief reads them at the episode barrier.
+  std::vector<HeatmapAccumulator> heatmaps_;
   std::vector<HeatmapSnapshot> heatmap_snapshots_;
-
-  uint64_t curiosity_seed_ = 0;
-  uint64_t rnd_seed_ = 0;
 };
 
 }  // namespace cews::agents

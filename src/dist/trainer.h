@@ -1,26 +1,25 @@
 // cews::dist — multi-process chief/employee training (DESIGN.md §7).
 //
-// Roles:
-//   - Employees are pure rollout actors: each holds a local model copy,
-//     runs the shared vectorized rollout (agents/trainer_core.h) over its
-//     own environments, completes GAE per instance, and ships the packed
-//     buffers (plus curiosity samples and episode stats) to the chief.
-//   - The chief is the single learner: it broadcasts the global parameters
-//     each iteration, merges the employee payloads in canonical rank order,
-//     and performs every PPO/intrinsic update itself.
+// Runs, as processes, the employee and learner cores the in-process
+// ChiefEmployeeTrainer runs as threads (agents/trainer_core.h). This layer
+// owns only transport, merging and forking:
+//   - Employees are pure rollout actors: each runs an EmployeeCore (rollout
+//     over its own environments, per-instance GAE, stats) and ships the
+//     payload — buffers, curiosity samples, stats — to the chief.
+//   - The chief broadcasts the global parameters each iteration, merges the
+//     employee payloads in canonical rank order, and runs the single-learner
+//     rule, LearnerCore::Learn: one gradient per minibatch of the merged
+//     pool, clipped at ppo.max_grad_norm. The in-process trainer instead
+//     applies the sum of per-employee gradients (clipped at
+//     N * max_grad_norm); the two differ only in that learner rule.
 //
 // Determinism: given a fixed employee count N, a fixed seed, and the exact
 // float round-trip of the wire format (dist/wire.h), a distributed run is
-// bitwise-identical to TrainDistReference — the same EmployeeCore and
-// LearnerCore objects driven in rank order inside one process with no
-// sockets. The equivalence holds by construction: rank-ordered merge fixes
-// the transition order, the broadcast fixes every actor's parameters, and
-// per-rank rollout rngs are derived exactly as the in-process trainer
-// derives per-employee rngs (seed * 7919 + rank). Note the learning
-// semantics intentionally differ from ChiefEmployeeTrainer: that trainer
-// sums per-employee gradients; this one trains on the merged transition
-// pool with a single learner (one gradient per minibatch, clipped at
-// ppo.max_grad_norm, not N * max_grad_norm).
+// bitwise-identical to TrainDistReference — the same cores driven in rank
+// order inside one process with no sockets. Rank-ordered merge fixes the
+// transition order, the broadcast fixes every actor's parameters, and every
+// core derives its seeds from the shared derivations in trainer_core.h, so
+// per-rank rollout rngs are the in-process employees' by construction.
 //
 // Fork mode (SpawnEmployees): for tests, CI smoke and single-host bench
 // runs, the employees are forked from the launching process. Children must
@@ -37,17 +36,11 @@
 #include <vector>
 
 #include "agents/chief_employee.h"
-#include "agents/curiosity.h"
-#include "agents/ppo.h"
-#include "agents/reward_normalizer.h"
-#include "agents/rnd.h"
+#include "agents/trainer_core.h"
 #include "common/result.h"
 #include "dist/channel.h"
 #include "dist/wire.h"
 #include "env/map.h"
-#include "env/state_encoder.h"
-#include "env/vec_env.h"
-#include "nn/optimizer.h"
 
 namespace cews::dist {
 
@@ -96,77 +89,11 @@ struct DistTrainResult {
   uint64_t bytes_rx = 0;
 };
 
-/// Auto-fills the dependent TrainerConfig dimensions from the map exactly
-/// as ChiefEmployeeTrainer's constructor does (net.num_workers, curiosity
-/// cells, rnd.state_size, ...). Chief and employees must hash and build
-/// from the SAME normalized config — call this once at every entry point.
-agents::TrainerConfig NormalizeConfig(const agents::TrainerConfig& config,
-                                      const env::Map& map);
-
-/// One employee's local state: policy/intrinsic model copies, environments,
-/// rollout rng. Pure actor — never updates parameters itself.
-class EmployeeCore {
- public:
-  /// `config` must already be normalized. Rng and model seeds derive from
-  /// (config.seed, rank) exactly like the in-process trainer's employees,
-  /// so frozen intrinsic parts (curiosity embedding, RND target) replicate
-  /// across processes without ever crossing the wire.
-  EmployeeCore(const agents::TrainerConfig& config, const env::Map& map,
-               int rank);
-
-  /// Overwrites the local trainable parameters with a broadcast.
-  void SetParams(const ParamUpdate& update);
-
-  /// One full iteration: vectorized rollout over all local instances,
-  /// per-instance GAE, stats aggregation. The result is what goes on the
-  /// wire (or straight to the reference learner).
-  RolloutPayload RunIteration(uint64_t iteration);
-
-  int rank() const { return rank_; }
-
- private:
-  agents::TrainerConfig config_;
-  env::Map map_;
-  env::StateEncoder encoder_;
-  agents::PpoAgent agent_;
-  std::unique_ptr<agents::SpatialCuriosity> curiosity_;
-  std::unique_ptr<agents::RndCuriosity> rnd_;
-  env::VecEnv vec_;
-  Rng rng_;
-  std::vector<agents::RewardNormalizer> normalizers_;
-  int rank_ = 0;
-};
-
-/// The chief's single-learner state: global models, optimizers, learner
-/// rng. Consumes merged rollouts; produces parameter broadcasts.
-class LearnerCore {
- public:
-  explicit LearnerCore(const agents::TrainerConfig& config);
-
-  /// Flat snapshot of the current trainable parameters.
-  ParamUpdate CurrentParams(uint64_t iteration) const;
-
-  /// `update_epochs` rounds of minibatch updates on the merged pool:
-  /// per round one packed minibatch (learner rng), intrinsic-module
-  /// backward + step, PPO backward + clip + step. Returns the last
-  /// round's loss stats.
-  agents::LossStats Learn(const agents::RolloutBuffer& buffer,
-                          const std::vector<agents::CuriositySample>& samples);
-
-  const agents::PolicyNet& net() const { return agent_.net(); }
-
-  /// Strict (CRC-required) warm-start load into the global policy. See
-  /// DistTrainerConfig::init_checkpoint.
-  Status LoadPolicy(const std::string& path);
-
- private:
-  agents::TrainerConfig config_;
-  agents::PpoAgent agent_;
-  std::unique_ptr<agents::SpatialCuriosity> curiosity_;
-  std::unique_ptr<agents::RndCuriosity> rnd_;
-  std::unique_ptr<nn::Adam> intrinsic_optimizer_;
-  Rng rng_;
-};
+// The cores, re-exported under their dist names. Every entry point builds
+// from NormalizeConfig's output: chief and employees hash the same config.
+using agents::EmployeeCore;
+using agents::LearnerCore;
+using agents::NormalizeConfig;
 
 /// Rank-ordered merge of one iteration's employee payloads: buffers
 /// concatenate rank-major (rank 0's instances first), curiosity samples

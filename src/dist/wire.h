@@ -19,9 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "agents/chief_employee.h"
-#include "agents/curiosity.h"
-#include "agents/rollout.h"
+#include "agents/trainer_core.h"
 #include "common/result.h"
 #include "env/map.h"
 
@@ -35,38 +33,11 @@ struct Hello {
   uint64_t config_hash = 0;
 };
 
-/// kParams broadcast: flat trainable values of the global policy net and
-/// (when an intrinsic module is configured) its trainable parameters.
-/// Frozen parts (curiosity embedding, RND target) are never shipped — they
-/// replicate across processes via the shared seed derivations.
-struct ParamUpdate {
-  uint64_t iteration = 0;
-  std::vector<float> policy;
-  std::vector<float> intrinsic;
-};
-
-/// Per-iteration episode aggregates one employee reports alongside its
-/// buffers (the dist equivalent of ChiefEmployeeTrainer's accumulator).
-struct RolloutStats {
-  double extrinsic_sum = 0.0;  ///< Summed over all instances.
-  double intrinsic_sum = 0.0;
-  double kappa = 0.0;  ///< Instance means (VecEnv::MeanKappa etc.).
-  double xi = 1.0;
-  double rho = 0.0;
-  int64_t env_steps = 0;
-};
-
-/// kRollout payload: everything one employee's iteration produced — one
-/// GAE-completed buffer per environment instance, the curiosity samples
-/// collected during the rollout (spatial-curiosity mode only), and the
-/// episode stats.
-struct RolloutPayload {
-  uint32_t rank = 0;
-  uint64_t iteration = 0;
-  std::vector<agents::RolloutBuffer> buffers;
-  std::vector<agents::CuriositySample> samples;
-  RolloutStats stats;
-};
+/// kParams broadcast, kRollout payload and its per-rank stats: the cores'
+/// plain structs (agents/trainer_core.h), serialized as they are.
+using ParamUpdate = agents::ParamUpdate;
+using RolloutStats = agents::RolloutStats;
+using RolloutPayload = agents::RolloutPayload;
 
 std::string PackHello(const Hello& hello);
 Result<Hello> UnpackHello(const std::string& payload);

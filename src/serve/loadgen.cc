@@ -287,17 +287,4 @@ Result<LoadResult> RunLoad(PolicyServer& server, const env::Map& map,
       map, spec, server.net_config().grid);
 }
 
-Result<LoadGenResult> RunClosedLoopLoad(PolicyServer& server,
-                                        const env::Map& map,
-                                        const LoadGenOptions& options) {
-  LoadSpec spec;
-  spec.mode = LoadMode::kClosedLoop;
-  spec.clients = options.clients;
-  spec.requests_per_client = options.requests_per_client;
-  spec.env = options.env;
-  spec.deterministic = options.deterministic;
-  spec.use_masks = options.use_masks;
-  return RunLoad(server, map, spec);
-}
-
 }  // namespace cews::serve

@@ -112,28 +112,6 @@ Result<LoadResult> RunLoad(Fleet& fleet, const env::Map& map,
 Result<LoadResult> RunLoad(PolicyServer& server, const env::Map& map,
                            const LoadSpec& spec);
 
-// ---------------------------------------------------------------------------
-// DEPRECATED names, kept as thin wrappers for one release: LoadGenOptions /
-// RunClosedLoopLoad predate the open-loop mode and the Fleet API. New code
-// uses LoadSpec / RunLoad.
-
-/// DEPRECATED: use LoadSpec (mode = kClosedLoop).
-struct LoadGenOptions {
-  int clients = 8;
-  int requests_per_client = 100;
-  env::EnvConfig env;
-  bool deterministic = false;
-  bool use_masks = true;
-};
-
-/// DEPRECATED: use LoadResult (adds shed, p999 and offered_rps).
-using LoadGenResult = LoadResult;
-
-/// DEPRECATED: forwards to RunLoad with LoadMode::kClosedLoop.
-Result<LoadGenResult> RunClosedLoopLoad(PolicyServer& server,
-                                        const env::Map& map,
-                                        const LoadGenOptions& options);
-
 }  // namespace cews::serve
 
 #endif  // CEWS_SERVE_LOADGEN_H_

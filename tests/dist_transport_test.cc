@@ -186,10 +186,11 @@ TEST(ChannelTest, SilentPeerTripsDeadlineHeartbeatingPeerDoesNot) {
     auto ch_or = Channel::Dial(address);
     ASSERT_TRUE(ch_or.ok());
     Channel ch = std::move(*ch_or);
-    // Phase 1: stay silent for 600ms — the chief's first 300ms window must
-    // trip while we sleep. Phase 2 begins at 600ms, safely inside the
-    // chief's second 300ms window (which opened at ~300ms).
-    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    // Phase 1: stay silent for 450ms — the chief's first 300ms window must
+    // trip while we sleep. Phase 2 begins at 450ms, mid-way through the
+    // chief's second 300ms window (open from ~300ms to ~600ms), so a late
+    // wake-up of either thread has 150ms of slack on each side.
+    std::this_thread::sleep_for(std::chrono::milliseconds(450));
     // Phase 2: heartbeat every 100ms (well inside the window), then
     // deliver the real frame — the chief's silence clock must keep
     // resetting on the heartbeats.

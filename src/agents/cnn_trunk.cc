@@ -5,34 +5,41 @@
 
 namespace cews::agents {
 
-namespace {
-/// Output side length of a 3x3 conv with the given stride and padding 1.
-nn::Index ConvOut(nn::Index in, int stride) {
-  return (in + 2 * 1 - 3) / stride + 1;
+nn::ConvShape CnnTrunkConfig::ConvStage(int stage, nn::Index n) const {
+  CEWS_CHECK(stage >= 0 && stage < 3);
+  const int channels[] = {in_channels, conv1_channels, conv2_channels,
+                          conv3_channels};
+  nn::ConvShape s;
+  s.n = n;
+  s.c = channels[stage];
+  s.h = s.w = stage == 0 ? grid : ConvStage(stage - 1).oh;
+  s.oc = channels[stage + 1];
+  s.kh = s.kw = 3;
+  s.stride = stage == 0 ? 1 : 2;
+  s.padding = 1;
+  s.oh = s.ow = (s.h + 2 * s.padding - s.kh) / s.stride + 1;
+  return s;
 }
-}  // namespace
 
 CnnTrunk::CnnTrunk(const CnnTrunkConfig& config, cews::Rng& rng)
     : config_(config) {
   CEWS_CHECK_GT(config.grid, 3);
   CEWS_CHECK_GT(config.feature_dim, 0);
-  conv1_ = std::make_unique<nn::Conv2dLayer>(config.in_channels,
-                                             config.conv1_channels, 3,
-                                             /*stride=*/1, /*padding=*/1, rng);
-  conv2_ = std::make_unique<nn::Conv2dLayer>(config.conv1_channels,
-                                             config.conv2_channels, 3,
-                                             /*stride=*/2, /*padding=*/1, rng);
-  conv3_ = std::make_unique<nn::Conv2dLayer>(config.conv2_channels,
-                                             config.conv3_channels, 3,
-                                             /*stride=*/2, /*padding=*/1, rng);
-  const nn::Index s1 = ConvOut(config.grid, 1);
-  const nn::Index s2 = ConvOut(s1, 2);
-  const nn::Index s3 = ConvOut(s2, 2);
-  CEWS_CHECK_GE(s3, 1);
-  ln1_ = std::make_unique<nn::LayerNorm>(config.conv1_channels * s1 * s1);
-  ln2_ = std::make_unique<nn::LayerNorm>(config.conv2_channels * s2 * s2);
-  ln3_ = std::make_unique<nn::LayerNorm>(config.conv3_channels * s3 * s3);
-  flat_after_conv_ = config.conv3_channels * s3 * s3;
+  const nn::ConvShape s1 = config.ConvStage(0);
+  const nn::ConvShape s2 = config.ConvStage(1);
+  const nn::ConvShape s3 = config.ConvStage(2);
+  CEWS_CHECK_GE(s3.oh, 1);
+  auto conv = [&rng](const nn::ConvShape& s) {
+    return std::make_unique<nn::Conv2dLayer>(s.c, s.oc, s.kh, s.stride,
+                                             s.padding, rng);
+  };
+  conv1_ = conv(s1);
+  conv2_ = conv(s2);
+  conv3_ = conv(s3);
+  ln1_ = std::make_unique<nn::LayerNorm>(s1.oc * s1.ohow());
+  ln2_ = std::make_unique<nn::LayerNorm>(s2.oc * s2.ohow());
+  ln3_ = std::make_unique<nn::LayerNorm>(s3.oc * s3.ohow());
+  flat_after_conv_ = s3.oc * s3.ohow();
   fc_ = std::make_unique<nn::Linear>(flat_after_conv_, config.feature_dim,
                                      rng);
 }

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "nn/module.h"
+#include "nn/ops.h"
 
 namespace cews::agents {
 
@@ -21,6 +22,11 @@ struct CnnTrunkConfig {
   int conv2_channels = 16;
   int conv3_channels = 16;
   int feature_dim = 256;
+
+  /// Geometry of conv stage `stage` (0, 1, 2: 3x3, padding 1, strides 1, 2,
+  /// 2) over a batch of `n` images — the one place the trunk's conv output
+  /// sizes are computed, shared by CnnTrunk and the int8 executor.
+  nn::ConvShape ConvStage(int stage, nn::Index n = 1) const;
 };
 
 /// conv3x3(s1)-LN-ReLU -> conv3x3(s2)-LN-ReLU -> conv3x3(s2)-LN-ReLU ->

@@ -33,8 +33,7 @@ ActResult SamplePolicy(const PolicyNet& net, const std::vector<float>& state,
 /// instance-major (env::VecEnv::MoveValidityMasks layout); masked-out moves
 /// have their logits forced to -1e9 before sampling and log-prob
 /// computation, confining each worker's route head to its valid options.
-/// The legacy single-env trainers never masked, so passing nullptr keeps
-/// the historical behavior.
+/// nullptr leaves every move selectable.
 std::vector<ActResult> SamplePolicyBatch(const PolicyNet& net,
                                          const std::vector<float>& states,
                                          int batch, Rng& rng,

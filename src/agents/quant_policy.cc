@@ -1,12 +1,14 @@
 #include "agents/quant_policy.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
+#include "agents/eval.h"
 #include "common/check.h"
+#include "common/rng.h"
 #include "nn/gemm.h"
 #include "nn/gemm_int8.h"
+#include "nn/ops.h"
 #include "nn/tensor.h"
 #include "nn/workspace.h"
 
@@ -20,95 +22,43 @@ using nn::quant::QuantizedParams;
 using nn::quant::QuantizedTensor;
 namespace gemm = nn::gemm;
 
-/// Output side length of a 3x3 conv with the given stride and padding 1
-/// (mirrors cnn_trunk.cc).
-Index ConvOut(Index in, int stride) { return (in + 2 * 1 - 3) / stride + 1; }
-
-/// LayerNorm epsilon of nn::LayerNorm (ops.cc LayerNormOp default).
-constexpr float kLnEps = 1e-5f;
-
-/// Geometry of one conv stage of the trunk (3x3, padding 1).
-struct StageShape {
-  Index c, h;      // input [c, h, h]
-  Index oc, oh;    // output [oc, oh, oh]
-  int stride;
-  Index ck2() const { return c * 3 * 3; }
-  Index ohow() const { return oh * oh; }
-};
-
-/// Unfolds one [c, h, h] image into cols [ck2, ohow] — the exact Im2Col of
-/// nn/ops.cc (anonymous namespace there, so replicated), specialized to the
-/// trunk's square 3x3 / padding-1 convs. Padding taps become zeros.
-void Im2Col3x3(const StageShape& s, const float* img, float* cols) {
-  const Index ohow = s.ohow();
-  for (Index ic = 0; ic < s.c; ++ic) {
-    const float* plane = img + ic * s.h * s.h;
-    for (Index ky = 0; ky < 3; ++ky) {
-      for (Index kx = 0; kx < 3; ++kx) {
-        float* row = cols + ((ic * 3 + ky) * 3 + kx) * ohow;
-        for (Index y = 0; y < s.oh; ++y) {
-          const Index iy = y * s.stride - 1 + ky;
-          float* dst = row + y * s.oh;
-          if (iy < 0 || iy >= s.h) {
-            std::fill(dst, dst + s.oh, 0.0f);
-            continue;
-          }
-          const float* src = plane + iy * s.h;
-          for (Index x = 0; x < s.oh; ++x) {
-            const Index ixp = x * s.stride - 1 + kx;
-            dst[x] = (ixp < 0 || ixp >= s.h) ? 0.0f : src[ixp];
-          }
-        }
-      }
-    }
-  }
-}
-
 /// One conv-LN-ReLU block over the whole batch, int8 GEMM per image:
-/// im2col -> per-output-pixel activation quantize -> pack -> Int8DotRows
-/// with the quantized conv weight on the A side, then fp32 LayerNorm over
-/// the image's oc*oh*oh features (double mean/var, LayerNormBody semantics)
-/// fused with ReLU. Images are independent, so parallelizing over them is
-/// partition-invariant; the per-image work is bitwise-fixed.
-void ConvLnReluStage(const StageShape& s, Index batch,
-                     const QuantizedTensor& wq, const float* bias,
-                     const float* ln_g, const float* ln_b, const float* in,
-                     float* out) {
-  CEWS_CHECK(wq.channels == s.oc && wq.per_channel == s.ck2());
+/// nn::Im2Col -> per-output-pixel activation quantize -> pack ->
+/// Int8DotRows with the quantized conv weight on the A side, then
+/// nn::LayerNormBody over the image's oc*oh*ow features and ReLU. Images
+/// are independent, so parallelizing over them is partition-invariant; the
+/// per-image work is bitwise-fixed.
+void ConvLnReluStage(const nn::ConvShape& s, const QuantizedTensor& wq,
+                     const float* bias, const float* ln_g, const float* ln_b,
+                     const float* in, float* out) {
   const Index ck2 = s.ck2();
   const Index ohow = s.ohow();
-  const Index in_img = s.c * s.h * s.h;
+  CEWS_CHECK(wq.channels == s.oc && wq.per_channel == ck2);
+  const Index in_img = s.c * s.h * s.w;
   const Index out_img = s.oc * ohow;
-  const Index f = out_img;  // LayerNorm feature width.
-  gemm::ParallelKernel(batch, 2 * s.oc * ck2 * ohow, [&](Index n0, Index n1) {
+  gemm::ParallelKernel(s.n, 2 * s.oc * ck2 * ohow, [&](Index n0, Index n1) {
     // Per-thread scratch: the Workspace arena is thread_local, so each
     // worker's buffers are private and recycled across its images.
     ScopedVec cols(ck2 * ohow);
     ScopedVec col_scales(ohow);
     nn::AlignedScopedBytes panel(gemm::Int8PanelBytes(ck2, ohow));
+    // The conv output lands in `pre`, not in place: LayerNormBody's output
+    // loop only vectorizes when its input and output do not overlap.
+    ScopedVec pre(out_img);
+    ScopedVec xhat(out_img);
+    float inv_sigma = 0.0f;
     for (Index img = n0; img < n1; ++img) {
-      Im2Col3x3(s, in + img * in_img, cols.data());
+      nn::Im2Col(s, in + img * in_img, cols.data());
       gemm::QuantizePackColsInt8(ck2, ohow, cols.data(), ohow, panel.data(),
                                  col_scales.data());
-      float* o = out + img * out_img;
       gemm::Int8DotRows(0, s.oc, ohow, ck2, wq.rows.data(), ck2,
                         wq.scales.data(), panel.data(), col_scales.data(),
-                        /*bias_row=*/bias, /*bias_col=*/nullptr, o, ohow);
-      // Fused LayerNorm + ReLU over this image's flattened activation.
-      double mu = 0.0;
-      for (Index j = 0; j < f; ++j) mu += o[j];
-      mu /= static_cast<double>(f);
-      double var = 0.0;
-      for (Index j = 0; j < f; ++j) {
-        const double d = o[j] - mu;
-        var += d * d;
-      }
-      var /= static_cast<double>(f);
-      const float is = 1.0f / std::sqrt(static_cast<float>(var) + kLnEps);
-      for (Index j = 0; j < f; ++j) {
-        const float xh = (o[j] - static_cast<float>(mu)) * is;
-        o[j] = std::max(0.0f, xh * ln_g[j] + ln_b[j]);
-      }
+                        /*bias_row=*/bias, /*bias_col=*/nullptr, pre.data(),
+                        ohow);
+      float* o = out + img * out_img;
+      nn::LayerNormBody(1, out_img, nn::kLayerNormEps, pre.data(), ln_g, ln_b,
+                        o, xhat.data(), &inv_sigma);
+      for (Index j = 0; j < out_img; ++j) o[j] = std::max(0.0f, o[j]);
     }
   });
 }
@@ -127,33 +77,13 @@ void QuantLinear(Index m, Index k, Index n, const float* x,
                           /*bias_col=*/bias, out, n);
 }
 
-/// Plain fp32 xW + b for the heads: tiny n, sequential accumulation —
-/// deterministic and exact w.r.t. the stored dense weights.
-void Fp32Linear(Index m, Index k, Index n, const float* x, const float* w,
-                const float* bias, float* out) {
-  for (Index i = 0; i < m; ++i) {
-    const float* row = x + i * k;
-    float* orow = out + i * n;
-    for (Index j = 0; j < n; ++j) orow[j] = bias[j];
-    for (Index l = 0; l < k; ++l) {
-      const float xv = row[l];
-      const float* wrow = w + l * n;
-      for (Index j = 0; j < n; ++j) orow[j] += xv * wrow[j];
-    }
-  }
-}
-
-/// Index of the first maximum (SampleFromLogits' deterministic rule).
-int Argmax(const float* v, int n) {
-  int best = 0;
-  float mx = v[0];
-  for (int i = 1; i < n; ++i) {
-    if (v[i] > mx) {
-      mx = v[i];
-      best = i;
-    }
-  }
-  return best;
+/// fp32 xW + b on dense weights for the heads: every output row starts at
+/// the bias, then the shared packed GEMM accumulates xW into it.
+void DenseLinear(Index m, Index k, Index n, const float* x, const float* w,
+                 const float* bias, float* out) {
+  for (Index i = 0; i < m; ++i) std::copy(bias, bias + n, out + i * n);
+  gemm::GemmNN(m, n, k, x, /*rsa=*/k, /*csa=*/1, w, /*ldb=*/n, out,
+               /*ldc=*/n);
 }
 
 }  // namespace
@@ -175,16 +105,12 @@ QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
   CEWS_CHECK_GT(batch, 0);
   CEWS_CHECK_EQ(qp.entries.size(), 20u);
 
-  const Index g = config.grid;
-  const Index s1 = ConvOut(g, 1);
-  const Index s2 = ConvOut(s1, 2);
-  const Index s3 = ConvOut(s2, 2);
-  const StageShape stage1{config.in_channels, g, config.conv1_channels, s1, 1};
-  const StageShape stage2{config.conv1_channels, s1, config.conv2_channels,
-                          s2, 2};
-  const StageShape stage3{config.conv2_channels, s2, config.conv3_channels,
-                          s3, 2};
-  const Index flat = config.conv3_channels * s3 * s3;
+  const Index b = batch;
+  const CnnTrunkConfig trunk = config.TrunkConfig();
+  const nn::ConvShape stage1 = trunk.ConvStage(0, b);
+  const nn::ConvShape stage2 = trunk.ConvStage(1, b);
+  const nn::ConvShape stage3 = trunk.ConvStage(2, b);
+  const Index flat = stage3.oc * stage3.ohow();
   const Index feat = config.feature_dim;
   const Index n_move =
       static_cast<Index>(config.num_workers) * config.num_moves;
@@ -202,15 +128,14 @@ QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
     return qp.entries[i].dense.data();
   };
 
-  const Index b = batch;
   ScopedVec act1(b * stage1.oc * stage1.ohow());
   ScopedVec act2(b * stage2.oc * stage2.ohow());
-  ScopedVec act3(b * stage3.oc * stage3.ohow());
-  ConvLnReluStage(stage1, b, quantized(0), dense(1), dense(2), dense(3),
-                  states, act1.data());
-  ConvLnReluStage(stage2, b, quantized(4), dense(5), dense(6), dense(7),
+  ScopedVec act3(b * flat);
+  ConvLnReluStage(stage1, quantized(0), dense(1), dense(2), dense(3), states,
+                  act1.data());
+  ConvLnReluStage(stage2, quantized(4), dense(5), dense(6), dense(7),
                   act1.data(), act2.data());
-  ConvLnReluStage(stage3, b, quantized(8), dense(9), dense(10), dense(11),
+  ConvLnReluStage(stage3, quantized(8), dense(9), dense(10), dense(11),
                   act2.data(), act3.data());
 
   // Trunk FC + ReLU. act3 is already the flattened [b, flat] matrix.
@@ -228,12 +153,12 @@ QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
   out.move_logits.resize(static_cast<size_t>(b * n_move));
   out.charge_logits.resize(static_cast<size_t>(b * n_charge));
   out.value.resize(static_cast<size_t>(b));
-  Fp32Linear(b, feat, n_move, feature.data(), dense(14), dense(15),
-             out.move_logits.data());
-  Fp32Linear(b, feat, n_charge, feature.data(), dense(16), dense(17),
-             out.charge_logits.data());
-  Fp32Linear(b, feat, 1, feature.data(), dense(18), dense(19),
-             out.value.data());
+  DenseLinear(b, feat, n_move, feature.data(), dense(14), dense(15),
+              out.move_logits.data());
+  DenseLinear(b, feat, n_charge, feature.data(), dense(16), dense(17),
+              out.charge_logits.data());
+  DenseLinear(b, feat, 1, feature.data(), dense(18), dense(19),
+              out.value.data());
   return out;
 }
 
@@ -257,20 +182,24 @@ AgreementStats ActionAgreementOnStates(const PolicyNet& net,
   const QuantPolicyOutput q =
       QuantPolicyForward(cfg, qp, states.data(), batch);
 
+  // Both logit sets go through the serving decision code with every
+  // instance deterministic, which draws no randomness.
+  const std::vector<uint8_t> deterministic(static_cast<size_t>(batch), 1);
+  Rng rng(0);
+  const std::vector<PolicyDecision> want =
+      DecideFromLogits(cfg, ref.move_logits.data(), ref.charge_logits.data(),
+                       ref.value.data(), batch, rng, deterministic.data());
+  const std::vector<PolicyDecision> got =
+      DecideFromLogits(cfg, q.move_logits.data(), q.charge_logits.data(),
+                       q.value.data(), batch, rng, deterministic.data());
   AgreementStats stats;
   for (int i = 0; i < batch; ++i) {
-    for (int w = 0; w < cfg.num_workers; ++w) {
-      const int moff = (i * cfg.num_workers + w) * cfg.num_moves;
-      const int coff = (i * cfg.num_workers + w) * 2;
+    const ActResult& a = want[static_cast<size_t>(i)].act;
+    const ActResult& b = got[static_cast<size_t>(i)].act;
+    for (size_t w = 0; w < a.moves.size(); ++w) {
       stats.decisions += 2;
-      if (Argmax(ref.move_logits.data() + moff, cfg.num_moves) ==
-          Argmax(q.move_logits.data() + moff, cfg.num_moves)) {
-        ++stats.matched;
-      }
-      if (Argmax(ref.charge_logits.data() + coff, 2) ==
-          Argmax(q.charge_logits.data() + coff, 2)) {
-        ++stats.matched;
-      }
+      if (a.moves[w] == b.moves[w]) ++stats.matched;
+      if (a.charges[w] == b.charges[w]) ++stats.matched;
     }
   }
   return stats;

@@ -1,14 +1,17 @@
 // cews::agents — the int8 inference executor for the policy architecture.
 //
-// QuantPolicyForward replays PolicyNet::ForwardImpl's exact layer sequence
+// QuantPolicyForward replays PolicyNet::Forward's layer sequence
 // (conv3x3-LN-ReLU x3 -> flatten -> FC-ReLU -> three linear heads) against
-// a publish-time nn::quant::QuantizedParams bundle instead of fp32 tensors:
-// every GEMM-shaped product (conv im2col forward, trunk FC, heads) runs on
-// the packed int8 kernels (nn/gemm_int8.h) with per-output-channel weight
-// scales, dynamic per-row activation scales (per im2col column for convs),
-// int32 accumulation and fp32 dequantize + bias on output. LayerNorm and
-// ReLU stay fp32 — they are O(n) epilogues whose precision anchors the
-// activation statistics the next quantization step depends on.
+// a publish-time nn::quant::QuantizedParams bundle instead of fp32 tensors.
+// It owns only the int8 parts: the trunk's GEMM-shaped products (conv
+// im2col forward, trunk FC) run on the packed int8 kernels
+// (nn/gemm_int8.h) with per-output-channel weight scales, dynamic per-row
+// activation scales (per im2col column for convs), int32 accumulation and
+// fp32 dequantize + bias on output. Everything else is the fp32 path's own
+// code: the conv geometry (CnnTrunkConfig::ConvStage), nn::Im2Col,
+// nn::LayerNormBody (LayerNorm and ReLU stay fp32 — O(n) epilogues whose
+// precision anchors the activation statistics the next quantization step
+// depends on), and the packed fp32 GEMM for the heads.
 //
 // The bundle is immutable and shared: unlike the fp32 serve path (which
 // copies a snapshot into a private per-worker net on epoch change), int8
@@ -17,8 +20,9 @@
 // is served entirely by the bundle captured at dequeue time.
 //
 // Correctness is gated behaviorally, not bitwise: ActionAgreement* compares
-// the quantized policy's argmax decisions (per worker, move and charge head)
-// against the fp32 net's over a state set, and serving requires the match
+// the quantized policy's deterministic decisions (per worker, move and
+// charge head, through agents::DecideFromLogits) against the fp32 net's
+// over a state set, and serving requires the match
 // rate to clear a configured threshold (>= 99% over the scenario suite;
 // tests/serve_quant_test.cc, the deploy loop's eval gate, and the
 // `cews serve --precision int8` startup check all enforce it).
@@ -62,8 +66,8 @@ QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
                                      const float* states, int batch);
 
 /// Action-agreement tally between the fp32 net and the quantized bundle.
-/// Every (instance, worker) contributes two decisions: the move-head argmax
-/// and the charge-head argmax.
+/// Every (instance, worker) contributes two decisions: the deterministic
+/// move and the deterministic charge.
 struct AgreementStats {
   int64_t decisions = 0;
   int64_t matched = 0;
@@ -74,7 +78,8 @@ struct AgreementStats {
   }
 };
 
-/// Compares argmax decisions over `batch` stacked states. `net` provides
+/// Compares deterministic decisions (DecideFromLogits with every instance
+/// deterministic) over `batch` stacked states. `net` provides
 /// the fp32 reference; `qp` must be a bundle of the SAME parameters (the
 /// caller typically quantized net.Parameters() or the published snapshot
 /// the net was copied from).

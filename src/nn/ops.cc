@@ -781,22 +781,6 @@ Tensor GatherLastDim(const Tensor& x,
   return GatherLastDimImpl(x, std::move(idx));
 }
 
-namespace {
-
-/// Static geometry of one Conv2d call (im2col formulation). The patch
-/// dimension p = (ic * kh + ky) * kw + kx indexes rows of the column matrix;
-/// the output-pixel dimension q = y * ow + x indexes its columns.
-struct ConvShape {
-  Index n, c, h, w;    // input  [N, C, H, W]
-  Index oc, kh, kw;    // weight [OC, C, KH, KW]
-  Index oh, ow;        // output spatial dims
-  int stride, padding;
-  Index ck2() const { return c * kh * kw; }
-  Index ohow() const { return oh * ow; }
-};
-
-/// Unfolds one image into its column matrix cols [ck2, ohow]; out-of-bounds
-/// (padding) taps become zeros.
 void Im2Col(const ConvShape& s, const float* img, float* cols) {
   for (Index ic = 0; ic < s.c; ++ic) {
     const float* plane = img + ic * s.h * s.w;
@@ -821,6 +805,8 @@ void Im2Col(const ConvShape& s, const float* img, float* cols) {
     }
   }
 }
+
+namespace {
 
 /// Folds a column-matrix gradient back into one image gradient (the adjoint
 /// of Im2Col); accumulates with +=.
@@ -1101,10 +1087,6 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   return r;
 }
 
-namespace {
-
-/// One LayerNorm forward sweep: writes the normalized-scaled output `po`
-/// plus the xhat/inv_sigma row statistics the backward consumes.
 void LayerNormBody(Index n, Index f, float eps, const float* px,
                    const float* pg, const float* pb, float* po, float* xhat,
                    float* inv_sigma) {
@@ -1128,8 +1110,6 @@ void LayerNormBody(Index n, Index f, float eps, const float* px,
     }
   }
 }
-
-}  // namespace
 
 Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                    float eps) {

@@ -85,10 +85,13 @@ Tensor GatherLastDim(const Tensor& x,
 Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
               int stride, int padding);
 
+/// nn::LayerNorm's epsilon.
+inline constexpr float kLayerNormEps = 1e-5f;
+
 /// Layer normalization over all non-batch dims of x [N, ...]; gamma/beta are
 /// flat [features] where features = numel/N.
 Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                   float eps = 1e-5f);
+                   float eps = kLayerNormEps);
 
 /// Looks up rows of `table` [V, D] at `ids` -> [ids.size(), D].
 Tensor EmbeddingLookup(const Tensor& table, const std::vector<Index>& ids);
@@ -104,6 +107,33 @@ Tensor Huber(const Tensor& x, float delta);
 /// Mean Huber loss between pred and target -> scalar.
 Tensor HuberLoss(const Tensor& pred, const Tensor& target,
                  float delta = 1.0f);
+
+// Raw forward kernels behind Conv2d and LayerNormOp, exposed so the int8
+// policy executor (agents/quant_policy.h) lowers convs and normalizes
+// activations with the exact code the fp32 path runs.
+
+/// Static geometry of one Conv2d call (im2col formulation). The patch
+/// dimension p = (ic * kh + ky) * kw + kx indexes rows of the column matrix;
+/// the output-pixel dimension q = y * ow + x indexes its columns.
+struct ConvShape {
+  Index n, c, h, w;    // input  [N, C, H, W]
+  Index oc, kh, kw;    // weight [OC, C, KH, KW]
+  Index oh, ow;        // output spatial dims
+  int stride, padding;
+  Index ck2() const { return c * kh * kw; }
+  Index ohow() const { return oh * ow; }
+};
+
+/// Unfolds one image into its column matrix cols [ck2, ohow]; out-of-bounds
+/// (padding) taps become zeros.
+void Im2Col(const ConvShape& s, const float* img, float* cols);
+
+/// One LayerNorm forward sweep over n rows of f features: writes the
+/// normalized-scaled output `po` plus the xhat [n * f] / inv_sigma [n] row
+/// statistics the backward consumes.
+void LayerNormBody(Index n, Index f, float eps, const float* px,
+                   const float* pg, const float* pb, float* po, float* xhat,
+                   float* inv_sigma);
 
 inline Tensor operator+(const Tensor& a, const Tensor& b) { return Add(a, b); }
 inline Tensor operator-(const Tensor& a, const Tensor& b) { return Sub(a, b); }

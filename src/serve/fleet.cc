@@ -47,9 +47,10 @@ Status ValidateFleetConfig(const FleetConfig& config) {
       return Status::InvalidArgument("duplicate scenario '" + name + "'");
     }
   }
-  // Net dims, batch and queue bounds are validated by the per-shard
-  // PolicyServer::Create below; checking shard-level knobs here keeps the
-  // error messages attributable to the fleet entry point.
+  // Net shape, batch and queue bounds are validated by
+  // PolicyServer::ValidateConfig in Fleet::Create; checking fleet-level
+  // knobs here keeps the error messages attributable to the fleet entry
+  // point.
   return Status::OK();
 }
 

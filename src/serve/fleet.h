@@ -20,11 +20,9 @@
 //     counted per shard (serve.shard.N.shed) and fleet-wide
 //     (serve.fleet.shed_total).
 //
-// Fleet::Create(FleetConfig) is the single validated entry point,
-// mirroring core::DrlCews::Create. The former PolicyServer surface
-// (Submit/Publish/PublishFromFile/registry()) is an internal shard detail;
-// standalone PolicyServer construction remains only for single-shard
-// embedding and tests.
+// Fleet::Create(FleetConfig) is the only way to start a server, mirroring
+// core::DrlCews::Create; a single-shard deployment is a Fleet with
+// num_shards = 1. PolicyServer is an internal shard detail.
 #ifndef CEWS_SERVE_FLEET_H_
 #define CEWS_SERVE_FLEET_H_
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -17,11 +16,6 @@
 namespace cews::serve {
 
 namespace {
-
-/// Both overloads of RunLoad drive this signature; the fleet/server
-/// distinction is one bound call.
-using SubmitFn =
-    std::function<std::future<ScheduleResponse>(ScheduleRequest)>;
 
 /// Latencies and error/shed counts one client or submitter collected.
 struct ClientTally {
@@ -51,12 +45,13 @@ void Tally(const ScheduleResponse& response, uint64_t latency_ns,
   tally.latency_ns.push_back(latency_ns);
 }
 
-void RunClosedLoopClient(const SubmitFn& submit, const env::Map& map,
-                         const LoadSpec& spec, int encoder_grid,
-                         int client_index, ClientTally& tally) {
+void RunClosedLoopClient(Fleet& fleet, const env::Map& map,
+                         const LoadSpec& spec, int client_index,
+                         ClientTally& tally) {
   env::Env env(spec.env, map);
   env.Reset();
-  const env::StateEncoder encoder(env::StateEncoderConfig{encoder_grid});
+  const env::StateEncoder encoder(
+      env::StateEncoderConfig{fleet.net_config().grid});
   const bool pre_encode = client_index % 2 == 0;
   tally.latency_ns.reserve(static_cast<size_t>(spec.requests_per_client));
 
@@ -73,7 +68,7 @@ void RunClosedLoopClient(const SubmitFn& submit, const env::Map& map,
     request.deterministic = spec.deterministic;
 
     const uint64_t start_ns = Stopwatch::NowNs();
-    const ScheduleResponse response = submit(std::move(request)).get();
+    const ScheduleResponse response = fleet.Submit(std::move(request)).get();
     ++tally.submitted;
     Tally(response, Stopwatch::NowNs() - start_ns, tally);
     if (!response.ok()) continue;  // shed/error: retry same observation
@@ -87,9 +82,9 @@ void RunClosedLoopClient(const SubmitFn& submit, const env::Map& map,
 /// completions), then harvests its futures. Latency is charged from the
 /// *scheduled* arrival — submitter lag adds to the measured latency rather
 /// than silently thinning the offered load (no coordinated omission).
-void RunOpenLoopSubmitter(const SubmitFn& submit, const env::Map& map,
-                          const LoadSpec& spec, int encoder_grid,
-                          int thread_index, ClientTally& tally) {
+void RunOpenLoopSubmitter(Fleet& fleet, const env::Map& map,
+                          const LoadSpec& spec, int thread_index,
+                          ClientTally& tally) {
   struct InFlight {
     std::future<ScheduleResponse> future;
     uint64_t intended_ns = 0;
@@ -98,7 +93,8 @@ void RunOpenLoopSubmitter(const SubmitFn& submit, const env::Map& map,
 
   env::Env env(spec.env, map);
   env.Reset();
-  const env::StateEncoder encoder(env::StateEncoderConfig{encoder_grid});
+  const env::StateEncoder encoder(
+      env::StateEncoderConfig{fleet.net_config().grid});
   // Pre-encode once: at 10^5+ requests/second the generator must cost
   // almost nothing per request, and the open-loop mode measures the
   // serving path, not the encoder.
@@ -150,7 +146,7 @@ void RunOpenLoopSubmitter(const SubmitFn& submit, const env::Map& map,
     InFlight flight;
     flight.intended_ns = intended_ns;
     flight.submit_ns = Stopwatch::NowNs();
-    flight.future = submit(std::move(request));
+    flight.future = fleet.Submit(std::move(request));
     in_flight.push_back(std::move(flight));
   }
 
@@ -199,8 +195,10 @@ Status ValidateSpec(const LoadSpec& spec) {
   return Status::OK();
 }
 
-Result<LoadResult> RunLoadImpl(const SubmitFn& submit, const env::Map& map,
-                               const LoadSpec& spec, int encoder_grid) {
+}  // namespace
+
+Result<LoadResult> RunLoad(Fleet& fleet, const env::Map& map,
+                           const LoadSpec& spec) {
   CEWS_RETURN_IF_ERROR(ValidateSpec(spec));
 
   const int num_threads = spec.mode == LoadMode::kClosedLoop
@@ -211,12 +209,12 @@ Result<LoadResult> RunLoadImpl(const SubmitFn& submit, const env::Map& map,
   threads.reserve(static_cast<size_t>(num_threads));
   const uint64_t start_ns = Stopwatch::NowNs();
   for (int t = 0; t < num_threads; ++t) {
-    threads.emplace_back([&submit, &map, &spec, encoder_grid, t, &tallies] {
+    threads.emplace_back([&fleet, &map, &spec, t, &tallies] {
       if (spec.mode == LoadMode::kClosedLoop) {
-        RunClosedLoopClient(submit, map, spec, encoder_grid, t,
+        RunClosedLoopClient(fleet, map, spec, t,
                             tallies[static_cast<size_t>(t)]);
       } else {
-        RunOpenLoopSubmitter(submit, map, spec, encoder_grid, t,
+        RunOpenLoopSubmitter(fleet, map, spec, t,
                              tallies[static_cast<size_t>(t)]);
       }
     });
@@ -265,26 +263,6 @@ Result<LoadResult> RunLoadImpl(const SubmitFn& submit, const env::Map& map,
           ? static_cast<double>(batch_sum) / static_cast<double>(completed)
           : 0.0;
   return result;
-}
-
-}  // namespace
-
-Result<LoadResult> RunLoad(Fleet& fleet, const env::Map& map,
-                           const LoadSpec& spec) {
-  return RunLoadImpl(
-      [&fleet](ScheduleRequest request) {
-        return fleet.Submit(std::move(request));
-      },
-      map, spec, fleet.net_config().grid);
-}
-
-Result<LoadResult> RunLoad(PolicyServer& server, const env::Map& map,
-                           const LoadSpec& spec) {
-  return RunLoadImpl(
-      [&server](ScheduleRequest request) {
-        return server.Submit(std::move(request));
-      },
-      map, spec, server.net_config().grid);
 }
 
 }  // namespace cews::serve

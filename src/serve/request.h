@@ -32,7 +32,7 @@ struct ScheduleRequest {
   /// Stable client identity. A Fleet's consistent-hash router keys on
   /// (client_id, scenario), so every request a client sends lands on the
   /// same shard — its in-order stream shares one batcher and its latency
-  /// is not smeared across the fleet. Ignored by a standalone PolicyServer.
+  /// is not smeared across the fleet.
   uint64_t client_id = 0;
 
   /// Named scenario ("city") whose published model should decide. Empty
@@ -41,7 +41,7 @@ struct ScheduleRequest {
   std::string scenario;
 
   /// Pre-encoded state in StateEncoder layout ([channels, grid, grid]
-  /// row-major, exactly PolicyServer::StateSize() floats). Leave empty to
+  /// row-major, exactly Fleet::StateSize() floats). Leave empty to
   /// have the server encode `env` instead.
   std::vector<float> state;
 
@@ -98,9 +98,9 @@ struct ScheduleResponse {
   int batch_size = 0;
   uint64_t latency_ns = 0;
 
-  /// Fleet shard that served this request (-1 from a standalone
-  /// PolicyServer). The routing invariant — same (client_id, scenario),
-  /// same shard — is observable here.
+  /// Fleet shard that served (or rejected) this request. The routing
+  /// invariant — same (client_id, scenario), same shard — is observable
+  /// here.
   int shard = -1;
 
   bool ok() const { return status.ok(); }

@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "nn/params.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -21,18 +20,8 @@ namespace cews::serve {
 
 namespace {
 
-/// Epoch-0 parameters: a freshly initialized network. The temporary net's
-/// tensors are cloned by the registry, so it can die here.
-std::vector<nn::Tensor> InitialParams(const PolicyServerConfig& config) {
-  Rng rng(config.seed);
-  const agents::PolicyNet net(config.net, rng);
-  return net.Parameters();
-}
-
-/// Per-shard metric names: serve.shard.N.* for fleet shards, the legacy
-/// serve.* names for standalone servers.
+/// Per-shard metric names: serve.shard.N.*.
 std::string ShardMetricName(int shard_index, const char* suffix) {
-  if (shard_index < 0) return std::string("serve.") + suffix;
   return "serve.shard." + std::to_string(shard_index) + "." + suffix;
 }
 
@@ -56,14 +45,29 @@ Result<Precision> ParsePrecision(const std::string& name) {
 }
 
 Status PolicyServer::ValidateConfig(const PolicyServerConfig& config) {
-  if (config.net.grid <= 0 || config.net.in_channels <= 0 ||
-      config.net.num_workers <= 0 || config.net.num_moves <= 0) {
+  // Exactly the shapes the PolicyNet constructor CHECKs, so a fleet never
+  // aborts building a net from a config that passed here.
+  const agents::PolicyNetConfig& net = config.net;
+  if (net.grid <= 3) {
     return Status::InvalidArgument(
-        "net dimensions must be positive (grid " +
-        std::to_string(config.net.grid) + ", channels " +
-        std::to_string(config.net.in_channels) + ", workers " +
-        std::to_string(config.net.num_workers) + ", moves " +
-        std::to_string(config.net.num_moves) + ")");
+        "net grid must exceed 3 (three 3x3 convs), got " +
+        std::to_string(net.grid));
+  }
+  if (net.in_channels <= 0 || net.conv1_channels <= 0 ||
+      net.conv2_channels <= 0 || net.conv3_channels <= 0 ||
+      net.feature_dim <= 0 || net.num_workers <= 0) {
+    return Status::InvalidArgument(
+        "net widths must be positive (channels " +
+        std::to_string(net.in_channels) + "/" +
+        std::to_string(net.conv1_channels) + "/" +
+        std::to_string(net.conv2_channels) + "/" +
+        std::to_string(net.conv3_channels) + ", feature_dim " +
+        std::to_string(net.feature_dim) + ", workers " +
+        std::to_string(net.num_workers) + ")");
+  }
+  if (net.num_moves <= 1) {
+    return Status::InvalidArgument("net num_moves must exceed 1, got " +
+                                   std::to_string(net.num_moves));
   }
   if (config.num_threads <= 0) {
     return Status::InvalidArgument("num_threads must be positive, got " +
@@ -88,21 +92,11 @@ Status PolicyServer::ValidateConfig(const PolicyServerConfig& config) {
         "runtime_threads must be non-negative (0 = hardware cores), got " +
         std::to_string(config.runtime_threads));
   }
+  if (config.shard_index < 0) {
+    return Status::InvalidArgument("shard_index must be non-negative, got " +
+                                   std::to_string(config.shard_index));
+  }
   return Status::OK();
-}
-
-Result<std::unique_ptr<PolicyServer>> PolicyServer::Create(
-    const PolicyServerConfig& config) {
-  CEWS_RETURN_IF_ERROR(ValidateConfig(config));
-  // Size the intra-op kernel pool before inference threads start issuing
-  // ParallelFor regions (same contract as the trainers).
-  runtime::SetGlobalPoolThreads(config.runtime_threads);
-  auto scenarios = std::make_shared<ScenarioRegistry>(
-      std::vector<std::string>{ScenarioRegistry::kDefaultScenario},
-      InitialParams(config),
-      /*quantize=*/config.precision == Precision::kInt8);
-  return std::unique_ptr<PolicyServer>(
-      new PolicyServer(config, std::move(scenarios)));
 }
 
 Result<std::unique_ptr<PolicyServer>> PolicyServer::Create(
@@ -125,9 +119,6 @@ PolicyServer::PolicyServer(const PolicyServerConfig& config,
     : config_(config),
       encoder_(env::StateEncoderConfig{config.net.grid}),
       scenarios_(std::move(scenarios)),
-      default_registry_(scenarios_->Find("") != nullptr
-                            ? scenarios_->Find("")
-                            : scenarios_->Find(scenarios_->names().front())),
       depth_gauge_(obs::GetGauge(
           ShardMetricName(config.shard_index, "queue_depth"))),
       shed_counter_(obs::GetCounter(
@@ -136,13 +127,10 @@ PolicyServer::PolicyServer(const PolicyServerConfig& config,
           ShardMetricName(config.shard_index, "latency_ns"))),
       rolling_latency_(obs::GetRollingHistogram(
           ShardMetricName(config.shard_index, "latency"))),
-      fleet_rolling_latency_(config.shard_index >= 0
-                                 ? obs::GetRollingHistogram(
-                                       "serve.fleet.latency")
-                                 : nullptr),
+      fleet_rolling_latency_(
+          obs::GetRollingHistogram("serve.fleet.latency")),
       batcher_(config.max_batch, config.max_queue_delay_us,
                config.max_queue_depth, depth_gauge_) {
-  CEWS_CHECK(default_registry_ != nullptr);
   obs::FlightRecorder::Global().Record(obs::FlightEventKind::kServerStart,
                                        nullptr, config_.shard_index);
   workers_.reserve(static_cast<size_t>(config_.num_threads));
@@ -264,14 +252,6 @@ std::future<ScheduleResponse> PolicyServer::Submit(
   return future;
 }
 
-Status PolicyServer::Publish(const std::vector<nn::Tensor>& params) {
-  return default_registry_->Publish(params);
-}
-
-Status PolicyServer::PublishFromFile(const std::string& path) {
-  return default_registry_->PublishFromFile(path);
-}
-
 void PolicyServer::WorkerLoop(int worker_index) {
   // Private replica: parameters are copied in from a registry snapshot
   // whenever the (scenario, epoch) being served changes, so workers never
@@ -299,9 +279,8 @@ void PolicyServer::WorkerLoop(int worker_index) {
   std::vector<uint8_t> masks;
   std::vector<uint8_t> deterministic;
   // (registry, member indices) per scenario in this flush, grouped in
-  // first-appearance order. Single-scenario flushes — every standalone
-  // server, and fleet shards under per-city load — form exactly one group,
-  // preserving the pre-fleet batching behavior bit for bit.
+  // first-appearance order. Single-scenario flushes (shards under per-city
+  // load) form exactly one group.
   std::vector<std::pair<ModelRegistry*, std::vector<int>>> groups;
 
   for (;;) {
@@ -435,9 +414,7 @@ void PolicyServer::WorkerLoop(int worker_index) {
         latency_hist->Record(metric_latency_ns);
         latency_hist_->Record(metric_latency_ns);
         rolling_latency_->Record(metric_latency_ns);
-        if (fleet_rolling_latency_ != nullptr) {
-          fleet_rolling_latency_->Record(metric_latency_ns);
-        }
+        fleet_rolling_latency_->Record(metric_latency_ns);
         item.promise.set_value(std::move(response));
       }
 

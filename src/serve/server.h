@@ -12,11 +12,9 @@
 // changes, so concurrent workers never share mutable tensors and every
 // response is computed from exactly one epoch of exactly one scenario.
 //
-// A PolicyServer is the *shard* building block of serve::Fleet (fleet.h) —
-// new code should go through Fleet::Create, which owns routing, the shared
-// multi-scenario registry, admission control and fleet-wide publication.
-// Standalone construction remains supported for single-shard embedding and
-// tests.
+// A PolicyServer is the *shard* building block of serve::Fleet (fleet.h),
+// and only Fleet::Create constructs one: the fleet owns routing, the shared
+// multi-scenario registry, admission control and publication.
 #ifndef CEWS_SERVE_SERVER_H_
 #define CEWS_SERVE_SERVER_H_
 
@@ -47,15 +45,16 @@ namespace cews::serve {
 
 /// Numeric precision of the inference forward pass.
 ///
-/// kFp32 is the historical path: each worker owns a private fp32 PolicyNet
-/// replica and copies snapshot values in on epoch change. kInt8 serves the
+/// kFp32: each worker owns a private fp32 PolicyNet replica and copies
+/// snapshot values in on epoch change. kInt8 serves the
 /// snapshot's publish-time nn::quant::QuantizedParams bundle in place
 /// through the packed int8 kernels (agents/quant_policy.h): no per-worker
 /// parameter copy, no per-request weight quantization, and the decision
 /// protocol (masking, sampling, Rng draw order) is byte-for-byte the fp32
 /// one — only the forward arithmetic changes. Int8 serving is gated on
-/// action agreement with the fp32 reference (ISSUE: >= 99% argmax match
-/// over the scenario suite; enforced by tests and the deploy/CLI gates).
+/// action agreement with the fp32 reference: at least 99% argmax match
+/// over the scenario suite, enforced by serve_quant_test and the deploy
+/// and CLI gates.
 enum class Precision { kFp32, kInt8 };
 
 /// "fp32" / "int8".
@@ -76,42 +75,35 @@ struct PolicyServerConfig {
   int64_t max_queue_delay_us = 200;
   /// Admission control: queued requests beyond this depth are shed — Submit
   /// resolves immediately with ResourceExhausted instead of queueing
-  /// (never blocks). 0 = unbounded (legacy standalone behavior).
+  /// (never blocks). 0 = unbounded.
   int max_queue_depth = 0;
   /// Intra-op NN kernel threads (0 = hardware cores; CEWS_NUM_THREADS
-  /// overrides), applied to the global kernel pool at Create.
+  /// overrides); Fleet::Create applies it to the global kernel pool once.
   int runtime_threads = 1;
-  /// Seeds the epoch-0 parameters and the per-worker sampling streams.
+  /// Seeds the per-worker sampling streams.
   uint64_t seed = 1;
   /// Fleet shard index (>= 0): names the per-shard metrics
   /// (serve.shard.N.queue_depth, serve.shard.N.shed) and is reported in
-  /// every ScheduleResponse::shard. -1 = standalone (legacy metric names,
-  /// shard -1 in responses).
-  int shard_index = -1;
+  /// every ScheduleResponse::shard.
+  int shard_index = 0;
   /// Forward-pass precision. kInt8 requires the scenario registry to carry
-  /// quantized bundles (standalone Create builds one accordingly; the fleet
-  /// hook validates the shared registry).
+  /// quantized bundles (Create checks).
   Precision precision = Precision::kFp32;
 };
 
 class PolicyServer {
  public:
-  /// Validates the config (positive net dims, threads, batch bound) and
-  /// starts the worker pool serving a private single-scenario registry
-  /// ("default"). The epoch-0 model is freshly initialized from `seed`;
-  /// publish trained parameters via Publish/PublishFromFile.
-  static Result<std::unique_ptr<PolicyServer>> Create(
-      const PolicyServerConfig& config);
-
-  /// Fleet hook: a shard serving a shared multi-scenario registry (owned
-  /// jointly with the Fleet and its sibling shards). Does NOT resize the
-  /// global kernel pool — the fleet does that once.
+  /// Fleet hook: validates the config and starts a shard serving the
+  /// shared multi-scenario registry (owned jointly with the Fleet and its
+  /// sibling shards). Does NOT resize the global kernel pool — the fleet
+  /// does that once.
   static Result<std::unique_ptr<PolicyServer>> Create(
       const PolicyServerConfig& config,
       std::shared_ptr<ScenarioRegistry> scenarios);
 
-  /// The validation Create applies (net dims, thread/batch/queue bounds),
-  /// reusable by Fleet::Create before it constructs anything.
+  /// The validation Create applies (a net shape PolicyNet accepts,
+  /// thread/batch/queue bounds, shard index), reusable by Fleet::Create
+  /// before it constructs anything.
   static Status ValidateConfig(const PolicyServerConfig& config);
 
   /// Stops and joins the workers (draining queued requests).
@@ -126,32 +118,6 @@ class PolicyServer {
   /// (ResourceExhausted, when max_queue_depth bounds it) or after Stop()
   /// (FailedPrecondition) — never with a broken promise.
   std::future<ScheduleResponse> Submit(ScheduleRequest request);
-
-  /// Hot-swaps the default scenario's parameters (clones `params`; see
-  /// ModelRegistry). Publication into other scenarios goes through the
-  /// owning Fleet (or scenarios().Publish for standalone multi-scenario
-  /// setups).
-  Status Publish(const std::vector<nn::Tensor>& params);
-
-  /// Reloads a checkpoint from disk into the default scenario (via
-  /// ModelRegistry::PublishFromFile — the live model is untouched on
-  /// failure).
-  Status PublishFromFile(const std::string& path);
-
-  /// Epoch of the default scenario's served snapshot (relaxed counter
-  /// read; does not touch the snapshot refcount).
-  uint64_t epoch() const { return default_registry_->epoch(); }
-
-  /// Read-only view of the default scenario's registry. Publication goes
-  /// through Publish/PublishFromFile (or the Fleet) — handing out a
-  /// mutable registry would bypass their validation and ownership story.
-  const ModelRegistry& registry() const { return *default_registry_; }
-
-  /// The scenario map this server serves (shared with the fleet's other
-  /// shards when fleet-constructed).
-  const ScenarioRegistry& scenarios() const { return *scenarios_; }
-
-  const agents::PolicyNetConfig& net_config() const { return config_.net; }
 
   /// Floats a pre-encoded ScheduleRequest::state must carry.
   int StateSize() const {
@@ -175,13 +141,11 @@ class PolicyServer {
   const PolicyServerConfig config_;
   env::StateEncoder encoder_;
   std::shared_ptr<ScenarioRegistry> scenarios_;
-  ModelRegistry* default_registry_;  ///< scenarios_->Find("").
   obs::Gauge* depth_gauge_;          ///< serve.shard.N.queue_depth.
   obs::Counter* shed_counter_;       ///< serve.shard.N.shed.
   obs::Histogram* latency_hist_;     ///< serve.shard.N.latency_ns.
-  /// Windowed latency: the shard's own rolling histogram, plus the shared
-  /// fleet-wide one when fleet-constructed (nullptr standalone) — the SLO
-  /// monitor and exporter read these.
+  /// Windowed latency: the shard's own rolling histogram plus the shared
+  /// fleet-wide one — the SLO monitor and exporter read these.
   obs::RollingHistogram* rolling_latency_;
   obs::RollingHistogram* fleet_rolling_latency_;
   /// Shard-local shed tally for flight-recorder sampling (obs::Counter is

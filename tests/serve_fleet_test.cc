@@ -122,6 +122,35 @@ TEST(FleetTest, CreateValidatesConfig) {
   }
 }
 
+// Every net shape the PolicyNet constructor would CHECK-abort on must come
+// back from Fleet::Create as InvalidArgument instead.
+TEST(FleetTest, CreateRejectsNetShapesPolicyNetCannotBuild) {
+  const std::vector<void (*)(agents::PolicyNetConfig&)> breakers = {
+      [](agents::PolicyNetConfig& n) { n.num_moves = 1; },
+      [](agents::PolicyNetConfig& n) { n.grid = 3; },
+      [](agents::PolicyNetConfig& n) { n.grid = 1; },
+      [](agents::PolicyNetConfig& n) { n.feature_dim = 0; },
+      [](agents::PolicyNetConfig& n) { n.feature_dim = -4; },
+      [](agents::PolicyNetConfig& n) { n.conv1_channels = 0; },
+      [](agents::PolicyNetConfig& n) { n.conv2_channels = -1; },
+      [](agents::PolicyNetConfig& n) { n.conv3_channels = 0; },
+  };
+  for (size_t i = 0; i < breakers.size(); ++i) {
+    FleetConfig config = TinyFleet(1);
+    breakers[i](config.net);
+    const Result<std::unique_ptr<Fleet>> fleet = Fleet::Create(config);
+    EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument)
+        << "case " << i;
+  }
+  // The smallest grid the trunk accepts still builds and serves.
+  FleetConfig config = TinyFleet(1);
+  config.net.grid = 4;
+  const std::unique_ptr<Fleet> fleet = MakeFleet(config);
+  ScheduleRequest request;
+  request.state.assign(static_cast<size_t>(fleet->StateSize()), 0.5f);
+  EXPECT_TRUE(fleet->Submit(std::move(request)).get().ok());
+}
+
 TEST(FleetTest, ServesAndReportsOwningShard) {
   std::unique_ptr<Fleet> fleet = MakeFleet(TinyFleet(3));
   for (uint64_t client = 0; client < 24; ++client) {

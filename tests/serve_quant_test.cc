@@ -4,10 +4,11 @@
 // zero, decisions forced through the fp32-exact dense biases) so the action
 // a response carries identifies EXACTLY which published epoch's quantized
 // bundle served it: a torn or stale bundle would produce an action that
-// contradicts the response's epoch. The agreement harness runs the ISSUE's
+// contradicts the response's epoch. The agreement harness runs the serving
 // acceptance gate — quantized vs fp32 argmax match rate >= 99% — over
 // deterministic rollouts on every core scenario, with head-scaled
-// (decisive) nets standing in for trained policies.
+// (decisive) nets standing in for trained policies. The *Pinned* cases
+// hold the int8 forward's outputs to CRC-32 pins bit for bit.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +24,7 @@
 #include "agents/policy_net.h"
 #include "agents/quant_policy.h"
 #include "common/check.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "core/scenarios.h"
 #include "env/env.h"
@@ -98,17 +100,90 @@ std::unique_ptr<agents::PolicyNet> DecisiveNet(
   return net;
 }
 
-PolicyServerConfig Int8ServerConfig(int threads) {
-  PolicyServerConfig config;
+uint32_t Crc(const std::vector<float>& v) {
+  return ComputeCrc32(v.data(), v.size() * sizeof(float));
+}
+
+/// The pins hold for the default optimized x86-64 build with FMA
+/// contraction (-march=native on any FMA-capable host). Other builds —
+/// unoptimized, sanitizer-instrumented, or without FMA — contract and
+/// vectorize the kernels differently, so there two runs are only checked
+/// against each other.
+#if defined(__x86_64__) && defined(__FMA__) && defined(__OPTIMIZE__) && \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+constexpr bool kPinsApply = true;
+#else
+constexpr bool kPinsApply = false;
+#endif
+
+/// CRC-32 of each QuantPolicyForward output plus the agreement tally.
+struct Int8Pins {
+  uint32_t move_b1, charge_b1, value_b1;
+  uint32_t move_b16, charge_b16, value_b16;
+  int64_t matched, decisions;
+};
+
+Int8Pins ComputeInt8Pins(const agents::PolicyNetConfig& cfg,
+                         uint64_t net_seed, uint64_t state_seed) {
+  const std::unique_ptr<agents::PolicyNet> net = DecisiveNet(cfg, net_seed);
+  const nn::quant::QuantizedParams qp =
+      agents::QuantizePolicyParams(net->Parameters());
+  constexpr int kBatch = 16;
+  Rng rng(state_seed);
+  std::vector<float> states(static_cast<size_t>(
+      kBatch * cfg.in_channels * cfg.grid * cfg.grid));
+  for (float& x : states) x = static_cast<float>(rng.Uniform());
+  const agents::QuantPolicyOutput b1 =
+      agents::QuantPolicyForward(cfg, qp, states.data(), 1);
+  const agents::QuantPolicyOutput b16 =
+      agents::QuantPolicyForward(cfg, qp, states.data(), kBatch);
+  const agents::AgreementStats agree =
+      agents::ActionAgreementOnStates(*net, qp, states, kBatch);
+  return Int8Pins{Crc(b1.move_logits),  Crc(b1.charge_logits),
+                  Crc(b1.value),        Crc(b16.move_logits),
+                  Crc(b16.charge_logits), Crc(b16.value),
+                  agree.matched,        agree.decisions};
+}
+
+/// Runs the int8 forward twice and checks both runs against `pinned`
+/// (or, where the pins do not apply, against each other).
+void ExpectInt8Pins(const agents::PolicyNetConfig& cfg, uint64_t net_seed,
+                    uint64_t state_seed, const Int8Pins& pinned) {
+  const Int8Pins first = ComputeInt8Pins(cfg, net_seed, state_seed);
+  const Int8Pins second = ComputeInt8Pins(cfg, net_seed, state_seed);
+  for (const Int8Pins* run : {&first, &second}) {
+    const Int8Pins& want = kPinsApply ? pinned : first;
+    EXPECT_EQ(run->move_b1, want.move_b1);
+    EXPECT_EQ(run->charge_b1, want.charge_b1);
+    EXPECT_EQ(run->value_b1, want.value_b1);
+    EXPECT_EQ(run->move_b16, want.move_b16);
+    EXPECT_EQ(run->charge_b16, want.charge_b16);
+    EXPECT_EQ(run->value_b16, want.value_b16);
+  }
+  // The agreement tally is a count of argmax matches, robust to the
+  // last-bit differences the CRCs are not: it holds on every build.
+  EXPECT_EQ(first.matched, pinned.matched);
+  EXPECT_EQ(first.decisions, pinned.decisions);
+  EXPECT_EQ(second.matched, first.matched);
+  EXPECT_EQ(second.decisions, first.decisions);
+}
+
+/// The single-shard int8 fleet the hot-swap tests publish into.
+FleetConfig Int8FleetConfig(int threads) {
+  FleetConfig config;
   config.net = TinyNet();
-  config.num_threads = threads;
+  config.num_shards = 1;
+  config.threads_per_shard = threads;
   config.max_batch = 4;
   config.max_queue_delay_us = 100;
+  config.max_queue_depth = 0;
   config.runtime_threads = 1;
   config.seed = 11;
   config.precision = Precision::kInt8;
   return config;
 }
+
+constexpr const char* kScenario = ScenarioRegistry::kDefaultScenario;
 
 TEST(PrecisionTest, ParseAndName) {
   EXPECT_EQ(ParsePrecision("fp32").value(), Precision::kFp32);
@@ -119,7 +194,9 @@ TEST(PrecisionTest, ParseAndName) {
 }
 
 TEST(QuantServeTest, Int8ShardRequiresQuantizedRegistry) {
-  PolicyServerConfig config = Int8ServerConfig(1);
+  PolicyServerConfig config;
+  config.net = TinyNet();
+  config.precision = Precision::kInt8;
   Rng rng(3);
   const agents::PolicyNet net(config.net, rng);
   auto fp32_only = std::make_shared<ScenarioRegistry>(
@@ -131,14 +208,14 @@ TEST(QuantServeTest, Int8ShardRequiresQuantizedRegistry) {
 }
 
 TEST(QuantServeTest, HotSwapServesNewQuantizedWeights) {
-  const PolicyServerConfig config = Int8ServerConfig(/*threads=*/2);
-  Result<std::unique_ptr<PolicyServer>> created =
-      PolicyServer::Create(config);
+  const FleetConfig config = Int8FleetConfig(/*threads=*/2);
+  Result<std::unique_ptr<Fleet>> created = Fleet::Create(config);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
-  std::unique_ptr<PolicyServer> server = std::move(created).value();
+  std::unique_ptr<Fleet> server = std::move(created).value();
 
   ASSERT_TRUE(server
-                  ->Publish(BiasForcedParams(config.net, 7, /*move=*/3,
+                  ->Publish(kScenario,
+                            BiasForcedParams(config.net, 7, /*move=*/3,
                                              /*charge=*/1))
                   .ok());
   ScheduleRequest request;
@@ -152,7 +229,8 @@ TEST(QuantServeTest, HotSwapServesNewQuantizedWeights) {
 
   // Second publish: the very next response must serve the NEW bundle.
   ASSERT_TRUE(server
-                  ->Publish(BiasForcedParams(config.net, 9, /*move=*/7,
+                  ->Publish(kScenario,
+                            BiasForcedParams(config.net, 9, /*move=*/7,
                                              /*charge=*/0))
                   .ok());
   ScheduleRequest second;
@@ -166,11 +244,10 @@ TEST(QuantServeTest, HotSwapServesNewQuantizedWeights) {
 }
 
 TEST(QuantServeTest, ConcurrentPublishesNeverServeTornBundles) {
-  const PolicyServerConfig config = Int8ServerConfig(/*threads=*/3);
-  Result<std::unique_ptr<PolicyServer>> created =
-      PolicyServer::Create(config);
+  const FleetConfig config = Int8FleetConfig(/*threads=*/3);
+  Result<std::unique_ptr<Fleet>> created = Fleet::Create(config);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
-  std::unique_ptr<PolicyServer> server = std::move(created).value();
+  std::unique_ptr<Fleet> server = std::move(created).value();
 
   // Odd epochs serve move 3 / charge 1, even epochs move 7 / charge 0.
   const std::vector<nn::Tensor> odd =
@@ -181,7 +258,7 @@ TEST(QuantServeTest, ConcurrentPublishesNeverServeTornBundles) {
   std::atomic<bool> stop{false};
   std::thread publisher([&] {
     for (int p = 0; p < 40 && !stop.load(); ++p) {
-      ASSERT_TRUE(server->Publish(p % 2 == 0 ? odd : even).ok());
+      ASSERT_TRUE(server->Publish(kScenario, p % 2 == 0 ? odd : even).ok());
       std::this_thread::yield();
     }
     stop.store(true);
@@ -283,6 +360,21 @@ TEST(QuantServeTest, AgreementAtLeast99PercentAcrossScenarioSuite) {
   }
   EXPECT_GE(total.rate(), 0.99)
       << "suite-wide: " << total.matched << "/" << total.decisions;
+}
+
+TEST(QuantServeTest, Int8ForwardMatchesPinnedCrcTinyNet) {
+  ExpectInt8Pins(TinyNet(), /*net_seed=*/4242, /*state_seed=*/77,
+                 Int8Pins{0xb05285feu, 0x06bf0423u, 0x5c58fc6du, 0x343c0f23u,
+                          0xac0082c0u, 0xad12da7cu, /*matched=*/63,
+                          /*decisions=*/64});
+}
+
+TEST(QuantServeTest, Int8ForwardMatchesPinnedCrcDefaultNet) {
+  ExpectInt8Pins(agents::PolicyNetConfig{}, /*net_seed=*/4243,
+                 /*state_seed=*/78,
+                 Int8Pins{0xf3c1690du, 0x106486a8u, 0x7108ee9au, 0x0ee083feu,
+                          0x0630ca0eu, 0x4d08c169u, /*matched=*/64,
+                          /*decisions=*/64});
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-#include "serve/server.h"
-
+// The single-shard serving contract: request validation, batching,
+// masking, publication and hot-swap, driven through a one-shard Fleet.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -20,6 +20,7 @@
 #include "env/state_encoder.h"
 #include "nn/params.h"
 #include "nn/serialize.h"
+#include "serve/fleet.h"
 #include "serve/loadgen.h"
 
 namespace cews::serve {
@@ -40,13 +41,17 @@ agents::PolicyNetConfig TinyNet() {
   return net;
 }
 
-PolicyServerConfig ServerConfig(int threads, int max_batch,
-                                int64_t delay_us) {
-  PolicyServerConfig config;
+constexpr const char* kScenario = ScenarioRegistry::kDefaultScenario;
+
+/// One shard with an unbounded queue.
+FleetConfig ServerConfig(int threads, int max_batch, int64_t delay_us) {
+  FleetConfig config;
   config.net = TinyNet();
-  config.num_threads = threads;
+  config.num_shards = 1;
+  config.threads_per_shard = threads;
   config.max_batch = max_batch;
   config.max_queue_delay_us = delay_us;
+  config.max_queue_depth = 0;
   config.runtime_threads = 1;
   config.seed = 11;
   return config;
@@ -64,10 +69,14 @@ env::Map TinyMap() {
   return map;
 }
 
-std::unique_ptr<PolicyServer> MakeServer(const PolicyServerConfig& config) {
-  Result<std::unique_ptr<PolicyServer>> server = PolicyServer::Create(config);
+std::unique_ptr<Fleet> MakeServer(const FleetConfig& config) {
+  Result<std::unique_ptr<Fleet>> server = Fleet::Create(config);
   CEWS_CHECK(server.ok()) << server.status().ToString();
   return std::move(server).value();
+}
+
+uint64_t EpochOf(const Fleet& server) {
+  return server.Epoch(kScenario).value();
 }
 
 /// An arbitrary (but fixed) pre-encoded state for TinyNet.
@@ -80,7 +89,7 @@ std::vector<float> FixedState() {
 }
 
 TEST(PolicyServerTest, ServesPreEncodedState) {
-  std::unique_ptr<PolicyServer> server =
+  std::unique_ptr<Fleet> server =
       MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
                               /*delay_us=*/100));
   ScheduleRequest request;
@@ -99,7 +108,7 @@ TEST(PolicyServerTest, ServesPreEncodedState) {
 }
 
 TEST(PolicyServerTest, ServerSideEncodingMatchesPreEncoded) {
-  std::unique_ptr<PolicyServer> server =
+  std::unique_ptr<Fleet> server =
       MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
                               /*delay_us=*/100));
   const env::Map map = TinyMap();
@@ -127,7 +136,7 @@ TEST(PolicyServerTest, ServerSideEncodingMatchesPreEncoded) {
 }
 
 TEST(PolicyServerTest, RejectsMalformedRequests) {
-  std::unique_ptr<PolicyServer> server =
+  std::unique_ptr<Fleet> server =
       MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
                               /*delay_us=*/100));
 
@@ -165,7 +174,7 @@ TEST(PolicyServerTest, RejectsMalformedRequests) {
 }
 
 TEST(PolicyServerTest, SubmitAfterStopFailsPrecondition) {
-  std::unique_ptr<PolicyServer> server =
+  std::unique_ptr<Fleet> server =
       MakeServer(ServerConfig(/*threads=*/2, /*max_batch=*/4,
                               /*delay_us=*/100));
   server->Stop();
@@ -177,7 +186,7 @@ TEST(PolicyServerTest, SubmitAfterStopFailsPrecondition) {
 }
 
 TEST(PolicyServerTest, MoveMaskConfinesDecisions) {
-  std::unique_ptr<PolicyServer> server =
+  std::unique_ptr<Fleet> server =
       MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
                               /*delay_us=*/100));
   // Worker 0 may only take move 3, worker 1 only move 5; sampling then has
@@ -207,7 +216,7 @@ TEST(PolicyServerTest, MoveMaskConfinesDecisions) {
 }
 
 TEST(PolicyServerTest, DeterministicRequestsRepeat) {
-  std::unique_ptr<PolicyServer> server =
+  std::unique_ptr<Fleet> server =
       MakeServer(ServerConfig(/*threads=*/2, /*max_batch=*/4,
                               /*delay_us=*/100));
   ScheduleRequest first;
@@ -224,7 +233,7 @@ TEST(PolicyServerTest, DeterministicRequestsRepeat) {
 
 TEST(PolicyServerTest, FlushBySizeSharesOneBatch) {
   // Delay long enough that only the size trigger can flush this quickly.
-  std::unique_ptr<PolicyServer> server =
+  std::unique_ptr<Fleet> server =
       MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/3,
                               /*delay_us=*/500'000));
   std::vector<std::future<ScheduleResponse>> futures;
@@ -244,7 +253,7 @@ TEST(PolicyServerTest, FlushBySizeSharesOneBatch) {
 }
 
 TEST(PolicyServerTest, FlushByTimeoutServesLoneRequest) {
-  std::unique_ptr<PolicyServer> server =
+  std::unique_ptr<Fleet> server =
       MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/64,
                               /*delay_us=*/30'000));
   const auto start = std::chrono::steady_clock::now();
@@ -260,7 +269,7 @@ TEST(PolicyServerTest, FlushByTimeoutServesLoneRequest) {
 }
 
 TEST(PolicyServerTest, ClosedLoopLoadRunsCleanly) {
-  std::unique_ptr<PolicyServer> server =
+  std::unique_ptr<Fleet> server =
       MakeServer(ServerConfig(/*threads=*/2, /*max_batch=*/8,
                               /*delay_us=*/200));
   LoadSpec spec;
@@ -279,45 +288,47 @@ TEST(PolicyServerTest, ClosedLoopLoadRunsCleanly) {
 }
 
 TEST(PolicyServerTest, RegistryPublishValidatesShapes) {
-  std::unique_ptr<PolicyServer> server =
+  std::unique_ptr<Fleet> server =
       MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
                               /*delay_us=*/100));
-  EXPECT_EQ(server->epoch(), 0u);
+  EXPECT_EQ(EpochOf(*server), 0u);
 
   // Wrong tensor count.
-  EXPECT_EQ(server->Publish({nn::Tensor::Zeros({3})}).code(),
+  EXPECT_EQ(server->Publish(kScenario, {nn::Tensor::Zeros({3})}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(server->epoch(), 0u);
+  EXPECT_EQ(EpochOf(*server), 0u);
 
   // Right count, wrong shape on the first tensor.
   std::shared_ptr<const ModelRegistry::Snapshot> snapshot =
-      server->registry().Acquire();
+      server->scenarios().Find(kScenario)->Acquire();
   std::vector<nn::Tensor> wrong;
   for (const nn::Tensor& t : snapshot->params) wrong.push_back(t.Clone());
   wrong[0] = nn::Tensor::Zeros({1, 2, 3});
-  EXPECT_EQ(server->Publish(wrong).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(server->epoch(), 0u);
+  EXPECT_EQ(server->Publish(kScenario, wrong).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(EpochOf(*server), 0u);
 
   // A matching set publishes as epoch 1.
   Rng rng(99);
   const agents::PolicyNet fresh(TinyNet(), rng);
-  ASSERT_TRUE(server->Publish(fresh.Parameters()).ok());
-  EXPECT_EQ(server->epoch(), 1u);
+  ASSERT_TRUE(server->Publish(kScenario, fresh.Parameters()).ok());
+  EXPECT_EQ(EpochOf(*server), 1u);
 }
 
 TEST(PolicyServerTest, PublishFromFileLoadsCheckpointOrFailsUntouched) {
-  std::unique_ptr<PolicyServer> server =
+  std::unique_ptr<Fleet> server =
       MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
                               /*delay_us=*/100));
-  EXPECT_FALSE(server->PublishFromFile("/nonexistent/ckpt.bin").ok());
-  EXPECT_EQ(server->epoch(), 0u);
+  EXPECT_FALSE(
+      server->PublishFromFile(kScenario, "/nonexistent/ckpt.bin").ok());
+  EXPECT_EQ(EpochOf(*server), 0u);
 
   Rng rng(123);
   const agents::PolicyNet trained(TinyNet(), rng);
   const std::string path = testing::TempDir() + "/serve_ckpt.bin";
   ASSERT_TRUE(nn::SaveParameters(path, trained.Parameters()).ok());
-  ASSERT_TRUE(server->PublishFromFile(path).ok());
-  EXPECT_EQ(server->epoch(), 1u);
+  ASSERT_TRUE(server->PublishFromFile(kScenario, path).ok());
+  EXPECT_EQ(EpochOf(*server), 1u);
 }
 
 // The acceptance test for the hot-swap protocol: every response must be
@@ -328,7 +339,7 @@ TEST(PolicyServerTest, PublishFromFileLoadsCheckpointOrFailsUntouched) {
 // response against the output its epoch implies. Bitwise equality is valid
 // because inference is deterministic at any batch size and thread count.
 TEST(PolicyServerTest, HotSwapNeverServesTornParameters) {
-  const PolicyServerConfig config =
+  const FleetConfig config =
       ServerConfig(/*threads=*/2, /*max_batch=*/4, /*delay_us=*/100);
   const std::vector<float> state = FixedState();
 
@@ -360,7 +371,7 @@ TEST(PolicyServerTest, HotSwapNeverServesTornParameters) {
   ASSERT_NE(expected0.move_logits, expected_b.move_logits);
   ASSERT_NE(expected_a.move_logits, expected_b.move_logits);
 
-  std::unique_ptr<PolicyServer> server = MakeServer(config);
+  std::unique_ptr<Fleet> server = MakeServer(config);
 
   constexpr int kClients = 3;
   constexpr int kRequestsPerClient = 40;
@@ -382,10 +393,10 @@ TEST(PolicyServerTest, HotSwapNeverServesTornParameters) {
 
   // Publish A on odd epochs, B on even, mid-flight.
   for (int p = 0; p < 14; ++p) {
-    ASSERT_TRUE(
-        server
-            ->Publish(p % 2 == 0 ? net_a.Parameters() : net_b.Parameters())
-            .ok());
+    ASSERT_TRUE(server
+                    ->Publish(kScenario, p % 2 == 0 ? net_a.Parameters()
+                                                    : net_b.Parameters())
+                    .ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   for (std::thread& t : clients) t.join();

@@ -5,7 +5,8 @@
 # and an ASan+UBSan build of the vectorized acting path (VecEnv, trainer
 # core, both trainers) plus the graph, serve, dist and
 # checkpoint-serialization tests, ending with the pinned-hash guard (both
-# trainers' golden final parameters) and a multi-process train-dist smoke that must drive the
+# trainers' golden final parameters and the int8 forward's CRC pins) and a
+# multi-process train-dist smoke that must drive the
 # publish gate through a reject-then-accept sequence into a live fleet,
 # whose trained snapshot then backs an int8 serve smoke (the startup
 # agreement gate must clear 99%). Both sanitizer passes include the int8
@@ -171,19 +172,22 @@ else
     "env_vec_env_test|agents_trainer_core_test|agents_vec_equivalence_test|agents_trainer_test|agents_async_test|nn_gemm_test|nn_quant_test|nn_graph_test|agents_graph_equivalence_test|nn_serialize_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
 fi
 
-echo "== graph + dist: pinned-hash guard =="
+echo "== graph + dist + int8: pinned-hash guard =="
 # Compiling the training losses must never change training numerics: full
 # in-process training runs (spatial curiosity, RND, no intrinsic module) at
 # pool widths 0/1/2/4 must end on the final-parameter hashes pinned from the
 # per-call tape, and the dist trainer's reference run must end on its own
 # pinned hashes in each intrinsic mode (the two trainers share their cores,
-# so these catch drift the dist equivalence test cannot see). Runs in the
+# so these catch drift the dist equivalence test cannot see). The int8
+# serving forward must end on its pinned output CRCs at batch 1 and 16,
+# since it shares the trunk's im2col, LayerNorm and GEMM code. Runs in the
 # plain build so a regression fails the check even when both sanitizer
 # passes are skipped.
 "$repo/build/tests/agents_graph_equivalence_test" \
   --gtest_filter='*PinnedTapeHash*'
 "$repo/build/tests/dist_trainer_equivalence_test" \
   --gtest_filter='*PinnedHash*'
+"$repo/build/tests/serve_quant_test" --gtest_filter='*Pinned*'
 
 echo "== dist: multi-process train-dist + publish-gate smoke =="
 # End-to-end exercise of the distributed trainer: a chief forks two

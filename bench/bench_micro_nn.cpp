@@ -7,6 +7,8 @@
 // so the sweep measures scheduling only.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "agents/cnn_trunk.h"
 #include "agents/policy_net.h"
 #include "agents/ppo.h"
 #include "bench/bench_util.h"
@@ -95,41 +98,85 @@ BENCHMARK(BM_MatMulBackward)
     ->ArgNames({"n", "threads"})
     ->ArgsProduct({{128, 256}, {1, 2, 4}});
 
-void BM_Conv2dForward(benchmark::State& state) {
-  const nn::Index g = state.range(0);
-  PoolGuard pool(state);
+/// The quick-scale trunk (grid 12, channels 3->4->6->6): the conv shapes
+/// the training runs and the serving fleet execute.
+nn::ConvShape QuickTrunkStage(int stage, nn::Index batch) {
+  agents::CnnTrunkConfig trunk;
+  trunk.grid = 12;
+  trunk.conv1_channels = 4;
+  trunk.conv2_channels = 6;
+  trunk.conv3_channels = 6;
+  return trunk.ConvStage(stage, batch);
+}
+
+/// One conv stage's operands, filled uniform in (-1, 1). Only the inner
+/// stages take an input gradient: the first stage's input is the state.
+struct ConvOperands {
+  nn::Tensor x, w, bias;
+};
+
+ConvOperands MakeConvOperands(const nn::ConvShape& s, int stage, bool grad) {
   Rng rng(2);
-  nn::Conv2dLayer conv(3, 8, 3, 1, 1, rng);
-  // A training-shaped batch: intra-op kernels partition over images and
-  // output channels, so a batch > 1 exposes the parallel axis.
-  nn::Tensor x = nn::Tensor::Zeros({8, 3, g, g});
-  nn::NoGradGuard no_grad;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.Forward(x));
+  auto fill = [&rng](const nn::Shape& shape, bool requires_grad) {
+    nn::Tensor t = nn::Tensor::Zeros(shape, requires_grad);
+    for (nn::Index i = 0; i < t.numel(); ++i) {
+      t.data()[i] = static_cast<float>(rng.Uniform(-1, 1));
+    }
+    return t;
+  };
+  return ConvOperands{fill({s.n, s.c, s.h, s.w}, grad && stage > 0),
+                      fill({s.oc, s.c, s.kh, s.kw}, grad),
+                      fill({s.oc}, grad)};
+}
+
+/// FLOPs of one conv product (forward, dW or dX) over the batch.
+int64_t ConvFlops(const nn::ConvShape& s) {
+  return 2 * s.n * s.oc * s.ck2() * s.ohow();
+}
+
+/// Runs one forward (grad=false) or forward + backward step of `op`.
+void ConvStep(const nn::ConvShape& s, ConvOperands& op, bool grad) {
+  if (!grad) {
+    nn::NoGradGuard no_grad;
+    benchmark::DoNotOptimize(
+        nn::Conv2d(op.x, op.w, op.bias, s.stride, s.padding));
+    return;
   }
-  state.SetItemsProcessed(state.iterations() * 8 * g * g);
+  op.x.ZeroGrad();
+  op.w.ZeroGrad();
+  op.bias.ZeroGrad();
+  nn::Tensor loss = nn::Mean(nn::Square(
+      nn::Conv2d(op.x, op.w, op.bias, s.stride, s.padding)));
+  loss.Backward();
+  benchmark::DoNotOptimize(loss.item());
+}
+
+// items_per_second is FLOP/s of the conv products alone (one product
+// forward; forward + dW, plus dX on the inner stages, with backward).
+void BM_Conv2dForward(benchmark::State& state) {
+  const int stage = static_cast<int>(state.range(0));
+  const nn::ConvShape s = QuickTrunkStage(stage, state.range(1));
+  PoolGuard pool(state, 2);
+  ConvOperands op = MakeConvOperands(s, stage, /*grad=*/false);
+  for (auto _ : state) ConvStep(s, op, /*grad=*/false);
+  state.SetItemsProcessed(state.iterations() * ConvFlops(s));
 }
 BENCHMARK(BM_Conv2dForward)
-    ->ArgNames({"g", "threads"})
-    ->ArgsProduct({{12, 20, 32}, {1, 2, 4}});
+    ->ArgNames({"stage", "batch", "threads"})
+    ->ArgsProduct({{0, 1, 2}, {1, 64}, {1, 4}});
 
 void BM_Conv2dForwardBackward(benchmark::State& state) {
-  const nn::Index g = state.range(0);
-  PoolGuard pool(state);
-  Rng rng(3);
-  nn::Conv2dLayer conv(3, 8, 3, 1, 1, rng);
-  nn::Tensor x = nn::Tensor::Zeros({8, 3, g, g});
-  for (auto _ : state) {
-    conv.ZeroGrad();
-    nn::Tensor loss = nn::Mean(nn::Square(conv.Forward(x)));
-    loss.Backward();
-    benchmark::DoNotOptimize(loss.item());
-  }
-  state.SetItemsProcessed(state.iterations() * 8 * g * g);
+  const int stage = static_cast<int>(state.range(0));
+  const nn::ConvShape s = QuickTrunkStage(stage, state.range(1));
+  PoolGuard pool(state, 2);
+  ConvOperands op = MakeConvOperands(s, stage, /*grad=*/true);
+  for (auto _ : state) ConvStep(s, op, /*grad=*/true);
+  state.SetItemsProcessed(state.iterations() * ConvFlops(s) *
+                          (stage > 0 ? 3 : 2));
 }
 BENCHMARK(BM_Conv2dForwardBackward)
-    ->ArgNames({"g", "threads"})
-    ->ArgsProduct({{12, 20}, {1, 2, 4}});
+    ->ArgNames({"stage", "batch", "threads"})
+    ->ArgsProduct({{0, 1, 2}, {1, 64}, {1, 4}});
 
 void BM_SoftmaxLastDim(benchmark::State& state) {
   Rng rng(4);
@@ -352,9 +399,10 @@ BENCHMARK(BM_GemmNT)
 // CEWS_BENCH_KERNELS=1 kernel sweep: times packed vs reference kernels on
 // the trainer + serve GEMM shapes and writes BENCH_kernels.json (path
 // overridable via CEWS_BENCH_KERNELS_OUT). Runs single-threaded — the JSON
-// records the per-kernel speedup the ISSUE acceptance criterion asks for —
-// and also records workspace misses per iteration for the packed kernels
-// (0 in steady state: all transient buffers come from the recycling arena).
+// records the per-kernel speedup — and also records workspace misses per
+// iteration for the packed kernels (0 in steady state: all transient
+// buffers come from the recycling arena), then the Conv2d op's repeated
+// timings on the quick-scale trunk.
 
 struct KernelShape {
   const char* name;   // what the shape is in the training/serving pipeline
@@ -384,8 +432,10 @@ void RunKernelSweep() {
   using nn::gemm::GemmNT;
   runtime::SetGlobalPoolThreads(1);
 
-  // Trainer shapes: PPO minibatch 64 through the policy net (conv products
-  // per image, trunk FC, heads) and their backward products. Serve shapes:
+  // Trainer shapes: PPO minibatch 64 through the policy net's trunk FC and
+  // heads, and their backward products. (Conv products gather their panels
+  // inside the Conv2d op instead of calling GemmNN; the conv2d rows below
+  // time the op.) Serve shapes:
   // the micro-batcher's batch-16 inference. Large squares are the headline
   // cache-blocking case.
   const KernelShape kShapes[] = {
@@ -395,9 +445,6 @@ void RunKernelSweep() {
       {"trunk_fc_dA_b64", "NT", 64, 1152, 128},
       {"trunk_fc_dW_b64", "NN", 1152, 128, 64},
       {"head_fwd_b64", "NN", 64, 34, 128},
-      {"conv2_img_g12", "NN", 8, 144, 54},
-      {"conv2_img_g20", "NN", 8, 400, 54},
-      {"conv2_dW_img_g12", "NT", 8, 54, 144},
       {"serve_fc_fwd_b16", "NN", 16, 128, 1152},
   };
 
@@ -589,6 +636,47 @@ void RunKernelSweep() {
     std::printf(
         "[kernels] ppo_loss_backward b=%-3d %.1f us  arena %lld bytes\n",
         batch, seconds * 1e6, arena);
+  }
+  // --- Conv2d op on the quick-scale trunk: repeated timing windows ---
+  // Each row is the median and median absolute deviation of kConvReps
+  // per-iteration times (each from a >= 0.1 s window), forward alone and
+  // forward + backward.
+  out << "\n  ],\n  \"conv2d\": [\n";
+  first = true;
+  constexpr int kConvReps = 15;
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const size_t h = v.size() / 2;
+    return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+  };
+  for (const bool grad : {false, true}) {
+    for (int stage = 0; stage < 3; ++stage) {
+      for (const nn::Index batch : {nn::Index{1}, nn::Index{64}}) {
+        const nn::ConvShape s = QuickTrunkStage(stage, batch);
+        ConvOperands op = MakeConvOperands(s, stage, grad);
+        std::vector<double> us;
+        for (int r = 0; r < kConvReps; ++r) {
+          us.push_back(TimePerIter([&] { ConvStep(s, op, grad); }) * 1e6);
+        }
+        const double med = median(us);
+        std::vector<double> dev;
+        for (const double u : us) dev.push_back(std::abs(u - med));
+        const double mad = median(dev);
+        char buf[256];
+        std::snprintf(buf, sizeof(buf),
+                      "    {\"stage\": %d, \"batch\": %lld, \"pass\": "
+                      "\"%s\", \"reps\": %d, \"median_us\": %.2f, "
+                      "\"mad_us\": %.2f}",
+                      stage + 1, static_cast<long long>(batch),
+                      grad ? "fwd_bwd" : "fwd", kConvReps, med, mad);
+        out << (first ? "" : ",\n") << buf;
+        first = false;
+        std::printf("[kernels] conv%d b=%-3lld %-7s median %.1f us  MAD %.1f "
+                    "us (%d reps)\n",
+                    stage + 1, static_cast<long long>(batch),
+                    grad ? "fwd_bwd" : "fwd", med, mad, kConvReps);
+      }
+    }
   }
   out << "\n  ]\n}\n";
   std::printf("[kernels] wrote %s\n", out_path.c_str());

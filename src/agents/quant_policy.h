@@ -8,7 +8,8 @@
 // (nn/gemm_int8.h) with per-output-channel weight scales, dynamic per-row
 // activation scales (per im2col column for convs), int32 accumulation and
 // fp32 dequantize + bias on output. Everything else is the fp32 path's own
-// code: the conv geometry (CnnTrunkConfig::ConvStage), nn::Im2Col,
+// code: the conv geometry (CnnTrunkConfig::ConvStage), nn::Im2Col (the
+// plain unfold; fp32 Conv2d gathers panels from a staging copy),
 // nn::LayerNormBody (LayerNorm and ReLU stay fp32 — O(n) epilogues whose
 // precision anchors the activation statistics the next quantization step
 // depends on), and the packed fp32 GEMM for the heads.

@@ -10,38 +10,52 @@ namespace cews::nn::gemm {
 
 namespace {
 
-obs::Counter* PackNsCounter() {
-  static obs::Counter* const c = obs::GetCounter("gemm.pack_ns");
-  return c;
+/// Packs all n columns of the operand (rows x cols walks) into `packed`,
+/// recording the time into the gemm.pack_ns counter.
+void PackPanel(const float* src, const Walk& rows, const Walk& cols, Index n,
+               float* packed) {
+  static obs::Counter* const pack_ns = obs::GetCounter("gemm.pack_ns");
+  const uint64_t t0 = Stopwatch::NowNs();
+  for (Index c0 = 0; c0 < n; c0 += kNr) {
+    PackTile(src, rows, cols, c0, std::min<Index>(kNr, n - c0),
+             packed + rows.n[0] * rows.n[1] * rows.n[2] * c0);
+  }
+  pack_ns->Add(Stopwatch::NowNs() - t0);
 }
 
 }  // namespace
 
-void PackNN(Index k, Index n, const float* b, Index ldb, float* packed) {
-  const uint64_t t0 = Stopwatch::NowNs();
-  for (Index c0 = 0; c0 < n; c0 += kNr) {
-    const Index w = std::min<Index>(kNr, n - c0);
-    float* tile = packed + k * c0;
-    for (Index l = 0; l < k; ++l) {
-      const float* src = b + l * ldb + c0;
-      float* dst = tile + l * w;
-      for (Index t = 0; t < w; ++t) dst[t] = src[t];
+void PackTile(const float* src, const Walk& rows, const Walk& cols, Index c0,
+              Index w, float* tile) {
+  // Column offsets: the digits of c0, then stepped with carries (no
+  // division per column).
+  Index col[kNr];
+  Index ca = c0 / (cols.n[1] * cols.n[2]), cb = c0 / cols.n[2] % cols.n[1],
+        cc = c0 % cols.n[2];
+  bool adjacent = true;
+  for (Index t = 0; t < w; ++t) {
+    col[t] = ca * cols.s[0] + cb * cols.s[1] + cc * cols.s[2];
+    adjacent = adjacent && col[t] == col[0] + t;
+    if (++cc < cols.n[2]) continue;
+    cc = 0;
+    if (++cb < cols.n[1]) continue;
+    cb = 0;
+    ++ca;
+  }
+  for (Index a = 0; a < rows.n[0]; ++a) {
+    for (Index b = 0; b < rows.n[1]; ++b) {
+      const float* base = src + a * rows.s[0] + b * rows.s[1];
+      for (Index c = 0; c < rows.n[2]; ++c, tile += w) {
+        const float* row = base + c * rows.s[2];
+        if (adjacent) {
+          const float* from = row + col[0];
+          for (Index t = 0; t < w; ++t) tile[t] = from[t];
+        } else {
+          for (Index t = 0; t < w; ++t) tile[t] = row[col[t]];
+        }
+      }
     }
   }
-  PackNsCounter()->Add(Stopwatch::NowNs() - t0);
-}
-
-void PackNT(Index k, Index n, const float* y, Index ldy, float* packed) {
-  const uint64_t t0 = Stopwatch::NowNs();
-  for (Index c0 = 0; c0 < n; c0 += kNr) {
-    const Index w = std::min<Index>(kNr, n - c0);
-    float* tile = packed + k * c0;
-    for (Index t = 0; t < w; ++t) {
-      const float* yrow = y + (c0 + t) * ldy;
-      for (Index j = 0; j < k; ++j) tile[j * w + t] = yrow[j];
-    }
-  }
-  PackNsCounter()->Add(Stopwatch::NowNs() - t0);
 }
 
 void NNRows(Index i0, Index i1, Index n, Index k, const float* a, Index rsa,
@@ -141,7 +155,8 @@ void GemmNN(Index m, Index n, Index k, const float* a, Index rsa, Index csa,
   // A pack writes all k*n panel floats, so caller scratch needs no zeroing.
   ScopedVec packed(pack_scratch != nullptr ? 0 : k * n);
   float* pp = pack_scratch != nullptr ? pack_scratch : packed.data();
-  PackNN(k, n, b, ldb, pp);
+  PackPanel(b, Walk{{1, 1, k}, {0, 0, ldb}}, Walk{{1, 1, n}, {0, 0, 1}}, n,
+            pp);
   const float* p = pp;
   ParallelKernel(m, 2 * k * n, [&](Index r0, Index r1) {
     NNRows(r0, r1, n, k, a, rsa, csa, p, c, ldc);
@@ -154,7 +169,8 @@ void GemmNT(Index m, Index n, Index k, const float* x, Index ldx,
   if (m <= 0 || n <= 0 || k <= 0) return;
   ScopedVec packed(pack_scratch != nullptr ? 0 : k * n);
   float* pp = pack_scratch != nullptr ? pack_scratch : packed.data();
-  PackNT(k, n, y, ldy, pp);
+  PackPanel(y, Walk{{1, 1, k}, {0, 0, 1}}, Walk{{1, 1, n}, {0, 0, ldy}}, n,
+            pp);
   const float* p = pp;
   ParallelKernel(m, 2 * k * n, [&](Index r0, Index r1) {
     NTRows(r0, r1, n, k, x, ldx, p, c, ldc);

@@ -2,8 +2,8 @@
 //
 // Every hot dense product in the NN substrate routes through the two kernel
 // shapes below; together they cover MatMul forward (C = A·B), both MatMul
-// backward products (dA = dC·Bᵀ, dB = Aᵀ·dC) and the Conv2d im2col products
-// (forward, dW, dX).
+// backward products (dA = dC·Bᵀ, dB = Aᵀ·dC) and the Conv2d products
+// (forward, dW, dX), whose panels PackTile gathers from a staged input.
 //
 //  * NN ("axpy" accumulation): C[i, j] += Σ_l A[i, l] · B[l, j], where the
 //    per-element accumulation order is l ascending and C is accumulated in
@@ -84,14 +84,20 @@ void ParallelKernel(Index n, Index flops_per_index, Fn&& fn) {
   });
 }
 
-/// Packs B (k x n, row stride ldb) into the panel layout above (k*n floats).
-/// Records the time spent into the gemm.pack_ns counter.
-void PackNN(Index k, Index n, const float* b, Index ldb, float* packed);
+/// Offsets of a 3-level index space: index (a, b, c), flat index
+/// (a*n[1] + b)*n[2] + c, lies at a*s[0] + b*s[1] + c*s[2]. The rows and
+/// columns of a panel operand are two walks over its source: plain strides
+/// for a matrix, taps and output pixels for a conv's input.
+struct Walk {
+  Index n[3], s[3];
+};
 
-/// Packs Y (n x k, row stride ldy) *transposed* into the same panel layout,
-/// i.e. PackNN of Yᵀ: panel element (j, c0+t) = Y[(c0+t)*ldy + j]. Records
-/// pack time into gemm.pack_ns.
-void PackNT(Index k, Index n, const float* y, Index ldy, float* packed);
+/// The panel writer: writes the tile of operand columns [c0, c0 + w),
+/// w <= kNr, of B[l, j] = src[(offset of row l) + (offset of column j)]
+/// (tile[l*w + t] = B[l, c0 + t]). A tile whose columns are adjacent in src
+/// is copied row by row; any other is gathered.
+void PackTile(const float* src, const Walk& rows, const Walk& cols, Index c0,
+              Index w, float* tile);
 
 /// NN kernel over rows [i0, i1): C[i, 0..n) += A_row_i · B using a packed B
 /// panel. A is read at a[i*rsa + l*csa] (pass rsa=k, csa=1 for a plain
@@ -101,8 +107,8 @@ void NNRows(Index i0, Index i1, Index n, Index k, const float* a, Index rsa,
             Index csa, const float* packed, float* c, Index ldc);
 
 /// NT kernel over rows [i0, i1): C[i, 0..n) += X_row_i · Yᵀ using a packed
-/// Yᵀ panel (PackNT). Each output element is one fresh j-ascending dot
-/// accumulator added to C once.
+/// Yᵀ panel. Each output element is one fresh j-ascending dot accumulator
+/// added to C once.
 void NTRows(Index i0, Index i1, Index n, Index k, const float* x, Index ldx,
             const float* packed, float* c, Index ldc);
 

@@ -38,14 +38,15 @@ namespace {
 // closures are identical in both modes, which is the heart of the
 // tape/graph bitwise-equivalence contract.
 //
-// Transient buffers (im2col columns, packed panels, per-image gradient
-// scratch) and op outputs come from the per-thread workspace arena
+// Transient buffers (conv staging copies, packed panels, gradient scratch)
+// and op outputs come from the per-thread workspace arena
 // (nn/workspace.h) in eager mode, so a steady-state training step recycles
 // every one of them instead of hitting the allocator; in graph mode they are
 // graph::OpBufs the planner folds into the arena.
 // ---------------------------------------------------------------------------
 
 using gemm::ParallelKernel;
+using gemm::Walk;
 using graph::BufLife;
 using graph::OpBuf;
 
@@ -808,102 +809,114 @@ void Im2Col(const ConvShape& s, const float* img, float* cols) {
 
 namespace {
 
-/// Folds a column-matrix gradient back into one image gradient (the adjoint
-/// of Im2Col); accumulates with +=.
-void Col2ImAccum(const ConvShape& s, const float* cols, float* img) {
-  for (Index ic = 0; ic < s.c; ++ic) {
-    float* plane = img + ic * s.h * s.w;
-    for (Index ky = 0; ky < s.kh; ++ky) {
-      for (Index kx = 0; kx < s.kw; ++kx) {
-        const float* row =
-            cols + ((ic * s.kh + ky) * s.kw + kx) * s.ohow();
-        for (Index y = 0; y < s.oh; ++y) {
-          const Index iy = y * s.stride - s.padding + ky;
-          if (iy < 0 || iy >= s.h) continue;
-          const float* src = row + y * s.ow;
-          float* dst = plane + iy * s.w;
-          for (Index x = 0; x < s.ow; ++x) {
-            const Index ixp = x * s.stride - s.padding + kx;
-            if (ixp < 0 || ixp >= s.w) continue;
-            dst[ixp] += src[x];
-          }
-        }
-      }
-    }
+// Conv2d lowering. The batch is copied once into a zero-padded staging
+// layout [n, c, hp, wp]; every im2col entry is then one load at tap offset
+// + pixel offset with no bounds test, so the GEMM panels are gathered
+// straight from the staging copy and no column matrix exists. The staging
+// copy is what the backward keeps for dW. Every output element keeps the
+// fmaf sequence of the plain im2col product (a padding tap multiplies a
+// staged 0.0f where im2col wrote one): forward = bias, then l ascending;
+// dW = one fresh j-ascending dot per image, images added in order; dX = oc
+// ascending, folded back in (ic, ky, kx, y, x) order. Parallel units are
+// images or 32-column tiles, each with a fixed output, so results are
+// bitwise identical at any thread count.
+
+Index Hp(const ConvShape& s) { return s.h + 2 * s.padding; }
+Index Wp(const ConvShape& s) { return s.w + 2 * s.padding; }
+Index StagedImage(const ConvShape& s) { return s.c * Hp(s) * Wp(s); }
+
+/// Patch rows l = (ic, ky, kx) of the column matrix, as staging offsets.
+Walk Taps(const ConvShape& s) {
+  return {{s.c, s.kh, s.kw}, {Hp(s) * Wp(s), Wp(s), 1}};
+}
+
+/// Output pixels (image, y, x) of `images` images, as staging offsets of
+/// their first tap.
+Walk Pixels(const ConvShape& s, Index images) {
+  return {{images, s.oh, s.ow},
+          {StagedImage(s), s.stride * Wp(s), Index{s.stride}}};
+}
+
+/// Copies one [c, h, w] image into the zero-padded [c, hp, wp] layout.
+void StageImage(const ConvShape& s, const float* img, float* padded) {
+  std::fill(padded, padded + StagedImage(s), 0.0f);
+  for (Index row = 0; row < s.c * s.h; ++row) {
+    std::copy(img + row * s.w, img + (row + 1) * s.w,
+              padded + (row / s.h * Hp(s) + row % s.h + s.padding) * Wp(s) +
+                  s.padding);
   }
 }
 
-/// Unfolds the whole batch into cols (n * ck2 * ohow floats, caller-owned —
-/// typically a workspace chunk), one image per parallel index.
-void BatchIm2Col(const ConvShape& s, const float* px, float* pc) {
-  ParallelKernel(s.n, s.ck2() * s.ohow(), [&](Index n0, Index n1) {
-    for (Index in = n0; in < n1; ++in) {
-      Im2Col(s, px + in * s.c * s.h * s.w, pc + in * s.ck2() * s.ohow());
-    }
-  });
+/// Output positions [first, second) along one axis whose tap at kernel
+/// offset k lands inside the unpadded input [0, size).
+std::pair<Index, Index> TapRange(Index out, Index size, int stride,
+                                 int padding, Index k) {
+  const Index shift = padding - k;  // input = o * stride - shift
+  const Index lo = shift > 0 ? (shift + stride - 1) / stride : 0;
+  const Index hi = size + shift > 0 ? (size - 1 + shift) / stride + 1 : 0;
+  return {lo, std::max(lo, std::min(out, hi))};
 }
 
-/// Packs each image's column matrix [ck2, ohow] into the GEMM panel layout,
-/// one image per parallel index. Pass transposed=true for the Yᵀ (PackNT)
-/// layout the dW product consumes.
-void PackBatch(const ConvShape& s, const float* pc, float* pp,
-               bool transposed) {
-  const Index ck2 = s.ck2(), ohow = s.ohow();
-  ParallelKernel(s.n, ck2 * ohow, [&](Index n0, Index n1) {
-    for (Index in = n0; in < n1; ++in) {
-      const float* src = pc + in * ck2 * ohow;
-      float* dst = pp + in * ck2 * ohow;
-      if (transposed) {
-        gemm::PackNT(ohow, ck2, src, ohow, dst);
-      } else {
-        gemm::PackNN(ck2, ohow, src, ohow, dst);
-      }
-    }
-  });
-}
+/// The op's scratch: planner slabs in graph mode. Eagerly only the staging
+/// copy is held; Scratch takes the rest, and an abandoned recording's
+/// unbound backward slabs, from the workspace.
+struct ConvBufs {
+  std::shared_ptr<OpBuf> stg, panel, cm, packt, packdy, dcols;
+};
+struct Scratch {
+  Scratch(const std::shared_ptr<OpBuf>& planned, Index n)
+      : ptr(planned ? planned->data() : nullptr), local(ptr ? 0 : n) {
+    if (ptr == nullptr) ptr = local.data();
+  }
+  float* ptr;
+  ScopedVec local;
+};
 
-/// The im2col + pack + NNRows forward product shared by the eager path and
-/// the graph thunk. cols/packed are caller scratch of n*ck2*ohow floats
-/// each; all three outputs (cols, packed, po) are fully overwritten.
+/// The forward product: stage x, then per run of 32-column tiles gather the
+/// [ck2, n*ohow] panel, preset C [oc, n*ohow] to the bias, run NNRows over
+/// every output channel and scatter C to NCHW. Every buffer is fully
+/// overwritten.
 void ConvForwardBody(const ConvShape& s, const float* px, const float* pw,
-                     const float* pbias, float* cols, float* packed,
-                     float* po) {
-  const Index ck2 = s.ck2(), ohow = s.ohow();
-  BatchIm2Col(s, px, cols);
-  PackBatch(s, cols, packed, /*transposed=*/false);
-  ParallelKernel(s.n * s.oc, 2 * ck2 * ohow, [&](Index r0, Index r1) {
-    // A chunk may span image boundaries; group its rows by image so each
-    // NNRows call covers a contiguous block of output channels and gets
-    // the full kMr-row register tiling.
-    Index row = r0;
-    while (row < r1) {
-      const Index in = row / s.oc;
-      const Index io0 = row % s.oc;
-      const Index io1 = std::min(s.oc, io0 + (r1 - row));
-      float* obase = po + in * s.oc * ohow;
-      for (Index io = io0; io < io1; ++io) {
-        float* orow = obase + io * ohow;
-        std::fill(orow, orow + ohow, pbias != nullptr ? pbias[io] : 0.0f);
+                     const float* pbias, const ConvBufs& b, float* po) {
+  const Index ck2 = s.ck2(), ohow = s.ohow(), cols = s.n * ohow;
+  float* stg = b.stg->data();
+  ParallelKernel(s.n, StagedImage(s), [&](Index n0, Index n1) {
+    for (Index in = n0; in < n1; ++in) {
+      StageImage(s, px + in * s.c * s.h * s.w, stg + in * StagedImage(s));
+    }
+  });
+  Scratch panel(b.panel, ck2 * cols), cm(b.cm, s.oc * cols);
+  const Index tiles = (cols + gemm::kNr - 1) / gemm::kNr;
+  ParallelKernel(tiles, 2 * s.oc * ck2 * gemm::kNr, [&](Index t0, Index t1) {
+    const Index c0 = t0 * gemm::kNr, c1 = std::min(cols, t1 * gemm::kNr);
+    for (Index c = c0; c < c1; c += gemm::kNr) {
+      gemm::PackTile(stg, Taps(s), Pixels(s, s.n), c,
+                     std::min(gemm::kNr, c1 - c), panel.ptr + ck2 * c);
+    }
+    for (Index io = 0; io < s.oc; ++io) {
+      std::fill(cm.ptr + io * cols + c0, cm.ptr + io * cols + c1,
+                pbias != nullptr ? pbias[io] : 0.0f);
+    }
+    gemm::NNRows(0, s.oc, c1 - c0, ck2, pw, ck2, 1, panel.ptr + ck2 * c0,
+                 cm.ptr + c0, cols);
+    for (Index c = c0; c < c1;) {  // one image's run of columns at a time
+      const Index in = c / ohow, q = c % ohow;
+      const Index len = std::min(c1 - c, ohow - q);
+      for (Index io = 0; io < s.oc; ++io) {
+        const float* src = cm.ptr + io * cols + c;
+        std::copy(src, src + len, po + (in * s.oc + io) * ohow + q);
       }
-      gemm::NNRows(io0, io1, ohow, ck2, pw, ck2, 1,
-                   packed + in * ck2 * ohow, obase, ohow);
-      row += io1 - io0;
+      c += len;
     }
   });
 }
 
-/// The dW/db/dX backward products shared by the eager closure and the graph
-/// closure. `cols` is the forward's im2col buffer, kept alive for dW. The
-/// three scratch pointers are nullable: null falls back to workspace vectors
-/// (eager mode, abandoned recordings); non-null are planner-assigned slabs
-/// — packt n*ck2*ohow, dcols_all n*ck2*ohow and packdy_all n*oc*ohow
-/// floats (per-image slices, dcols re-zeroed here).
+/// The dW/db/dX backward products, reading the forward's staging copy.
 void ConvBackwardBody(const ConvShape& s, uint64_t conv_flops, TensorImpl* o,
                       TensorImpl* ix, TensorImpl* iw, TensorImpl* ib,
-                      const float* cols, float* packt_buf, float* dcols_all,
-                      float* packdy_all) {
+                      const ConvBufs& b) {
   CEWS_TRACE_SCOPE("nn.Conv2d.bwd");
-  const Index ck2 = s.ck2(), ohow = s.ohow();
+  const Index ck2 = s.ck2(), ohow = s.ohow(), cols = s.n * ohow;
   const uint64_t t0 = Stopwatch::NowNs();
   uint64_t bwd_flops = 0;
   const bool need_dx = ix->requires_grad;
@@ -915,20 +928,28 @@ void ConvBackwardBody(const ConvShape& s, uint64_t conv_flops, TensorImpl* o,
   const float* og = o->grad.data();
 
   // dW = sum_n dY_n * cols_n^T (NT shape: one fresh dot per element,
-  // images accumulated in ascending order) and db = sum over pixels.
-  // Partitioned over output channels: each dW row / db entry has one
-  // owner.
+  // images accumulated in ascending order) and db = sum over pixels. Each
+  // image's transposed panel is gathered pixel-outer (contiguous writes);
+  // the products are partitioned over output channels, so each dW row / db
+  // entry has one owner.
   if (need_dw || need_db) {
     if (need_dw) bwd_flops += conv_flops;
     float* gw = need_dw ? iw->grad.data() : nullptr;
     float* gb = need_db ? ib->grad.data() : nullptr;
-    ScopedVec packt(need_dw && packt_buf == nullptr ? s.n * ck2 * ohow : 0);
-    float* pt = packt_buf != nullptr ? packt_buf : packt.data();
-    if (need_dw) PackBatch(s, cols, pt, /*transposed=*/true);
+    Scratch packt(b.packt, need_dw ? s.n * ck2 * ohow : 0);
+    if (need_dw) {
+      ParallelKernel(s.n, ck2 * ohow, [&](Index n0, Index n1) {
+        for (Index in = n0; in < n1; ++in) {
+          for (Index l0 = 0; l0 < ck2; l0 += gemm::kNr) {
+            gemm::PackTile(b.stg->data() + in * StagedImage(s),
+                           Pixels(s, 1), Taps(s), l0,
+                           std::min(gemm::kNr, ck2 - l0),
+                           packt.ptr + (in * ck2 + l0) * ohow);
+          }
+        }
+      });
+    }
     ParallelKernel(s.oc, 2 * s.n * ck2 * ohow, [&](Index o0, Index o1) {
-      // Images ascend in the outer loop; every dW/db element still
-      // receives its per-image contributions in image order, identical
-      // to the channel-outer loop this replaced.
       for (Index in = 0; in < s.n; ++in) {
         const float* gbase = og + in * s.oc * ohow;
         if (need_db) {
@@ -941,32 +962,53 @@ void ConvBackwardBody(const ConvShape& s, uint64_t conv_flops, TensorImpl* o,
         }
         if (!need_dw) continue;
         gemm::NTRows(o0, o1, ck2, ohow, gbase, ohow,
-                     pt + in * ck2 * ohow, gw, ck2);
+                     packt.ptr + in * ck2 * ohow, gw, ck2);
       }
     });
   }
 
-  // dX_n = col2im(W^T * dY_n), partitioned over images. The W^T product
-  // is NN-shaped: dcols rows accumulate channel-ascending.
+  // dX = col2im(W^T * dY): one NN product over the whole batch's columns
+  // (dcols rows accumulate channel-ascending from zero) partitioned by
+  // 32-column tile, then folded into gx one image per parallel index, in
+  // (ic, ky, kx, y, x) order; the tap ranges skip exactly the padding taps,
+  // so the inner loop has no branch.
   if (need_dx) {
     bwd_flops += conv_flops;
     const float* pw = iw->data.data();
+    Scratch packdy(b.packdy, s.oc * cols), dcols(b.dcols, ck2 * cols);
+    const Walk channels{{1, 1, s.oc}, {0, 0, ohow}};
+    const Walk columns{{s.n, 1, ohow}, {s.oc * ohow, 0, 1}};
+    const Index tiles = (cols + gemm::kNr - 1) / gemm::kNr;
+    ParallelKernel(tiles, 2 * s.oc * ck2 * gemm::kNr, [&](Index t0,
+                                                            Index t1) {
+      const Index c0 = t0 * gemm::kNr, c1 = std::min(cols, t1 * gemm::kNr);
+      for (Index c = c0; c < c1; c += gemm::kNr) {
+        gemm::PackTile(og, channels, columns, c, std::min(gemm::kNr, c1 - c),
+                       packdy.ptr + s.oc * c);
+      }
+      for (Index l = 0; l < ck2; ++l) {
+        std::fill(dcols.ptr + l * cols + c0, dcols.ptr + l * cols + c1, 0.0f);
+      }
+      gemm::NNRows(0, ck2, c1 - c0, s.oc, pw, 1, ck2, packdy.ptr + s.oc * c0,
+                   dcols.ptr + c0, cols);
+    });
     float* gx = ix->grad.data();
-    ParallelKernel(s.n, 2 * s.oc * ck2 * ohow, [&](Index n0, Index n1) {
+    ParallelKernel(s.n, 2 * ck2 * ohow, [&](Index n0, Index n1) {
       for (Index in = n0; in < n1; ++in) {
-        ScopedVec dcols_local(dcols_all == nullptr ? ck2 * ohow : 0);
-        ScopedVec packdy_local(packdy_all == nullptr ? s.oc * ohow : 0);
-        float* dcols = dcols_all != nullptr ? dcols_all + in * ck2 * ohow
-                                            : dcols_local.data();
-        float* packdy = packdy_all != nullptr ? packdy_all + in * s.oc * ohow
-                                              : packdy_local.data();
-        // NNRows accumulates into dcols; workspace vectors arrive zeroed,
-        // arena slices must be re-zeroed per run. packdy is fully
-        // overwritten by the pack.
-        if (dcols_all != nullptr) std::fill(dcols, dcols + ck2 * ohow, 0.0f);
-        gemm::PackNN(s.oc, ohow, og + in * s.oc * ohow, ohow, packdy);
-        gemm::NNRows(0, ck2, ohow, s.oc, pw, 1, ck2, packdy, dcols, ohow);
-        Col2ImAccum(s, dcols, gx + in * s.c * s.h * s.w);
+        const float* row = dcols.ptr + in * ohow;
+        for (Index l = 0; l < ck2; ++l, row += cols) {
+          const Index kx = l % s.kw, ky = l / s.kw % s.kh;
+          const auto [y0, y1] = TapRange(s.oh, s.h, s.stride, s.padding, ky);
+          const auto [x0, x1] = TapRange(s.ow, s.w, s.stride, s.padding, kx);
+          // gx offset of pixel (0, 0)'s tap, only read inside the ranges.
+          const Index base = ((in * s.c + l / (s.kw * s.kh)) * s.h + ky -
+                              s.padding) * s.w + kx - s.padding;
+          for (Index y = y0; y < y1; ++y) {
+            for (Index x = x0; x < x1; ++x) {
+              gx[base + (y * s.w + x) * s.stride] += row[y * s.ow + x];
+            }
+          }
+        }
       }
     });
   }
@@ -996,13 +1038,13 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   s.ow = (s.w + 2 * padding - s.kw) / stride + 1;
   CEWS_CHECK_GE(s.oh, 1);
   CEWS_CHECK_GE(s.ow, 1);
-  const Index ck2 = s.ck2(), ohow = s.ohow();
+  const Index ck2 = s.ck2(), cols = s.n * s.ohow();
 
   // FLOPs of one batched im2col product: multiply + add per (image, output
   // channel, patch row, output pixel). Forward and each backward product
   // share this cost.
   const uint64_t conv_flops =
-      2ull * static_cast<uint64_t>(s.n * s.oc * ck2 * ohow);
+      2ull * static_cast<uint64_t>(s.oc * ck2 * cols);
 
   const bool rec = graph::Recording();
   Tensor r = NewResult({s.n, s.oc, s.oh, s.ow}, {x, w, bias});
@@ -1011,77 +1053,43 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   TensorImpl* xi = x.impl().get();
   TensorImpl* wi = w.impl().get();
   TensorImpl* bi = bias.defined() ? bias.impl().get() : nullptr;
+  const bool need_dw = track && wi->requires_grad;
+  const bool need_dx = track && xi->requires_grad;
 
-  if (rec) {
-    // Graph path: all scratch (forward and backward) is planner-managed.
-    // cols is kSpan when the backward will read it for dW; packed panels and
-    // gradient scratch are single-phase.
-    auto cols = graph::AllocBuf(
-        s.n * ck2 * ohow,
-        track && wi->requires_grad ? BufLife::kSpan : BufLife::kFwd);
-    auto packed = graph::AllocBuf(s.n * ck2 * ohow, BufLife::kFwd);
-    std::shared_ptr<OpBuf> packt, dcols_all, packdy_all;
-    if (track && wi->requires_grad) {
-      packt = graph::AllocBuf(s.n * ck2 * ohow, BufLife::kBwd);
-    }
-    if (track && xi->requires_grad) {
-      dcols_all = graph::AllocBuf(s.n * ck2 * ohow, BufLife::kBwd);
-      packdy_all = graph::AllocBuf(s.n * s.oc * ohow, BufLife::kBwd);
-    }
-    auto fwd = [o, xi, wi, bi, s, conv_flops, cols, packed]() {
-      CEWS_TRACE_SCOPE("nn.Conv2d");
-      const uint64_t t0 = Stopwatch::NowNs();
-      ConvForwardBody(s, xi->data.data(), wi->data.data(),
-                      bi != nullptr ? bi->data.data() : nullptr, cols->data(),
-                      packed->data(), o->data.data());
-      KernelMetrics& metrics = Conv2dMetrics();
-      metrics.calls->Increment();
-      metrics.fwd_flops->Add(conv_flops);
-      metrics.fwd_ns->Add(Stopwatch::NowNs() - t0);
-    };
-    fwd();
-    graph::Record(r, {x, w, bias}, fwd);
-    if (track) {
-      auto ix = x.impl();
-      auto iw = w.impl();
-      auto ib = bias.defined() ? bias.impl() : std::shared_ptr<TensorImpl>();
-      r.impl()->backward_fn = [o, ix, iw, ib, s, conv_flops, cols, packt,
-                               dcols_all, packdy_all]() {
-        ConvBackwardBody(s, conv_flops, o, ix.get(), iw.get(), ib.get(),
-                         cols->data(),
-                         packt ? packt->data() : nullptr,
-                         dcols_all ? dcols_all->data() : nullptr,
-                         packdy_all ? packdy_all->data() : nullptr);
-      };
-    }
-    return r;
-  }
+  // Graph mode plans all scratch; the staging copy is kSpan when the
+  // backward reads it for dW.
+  auto b = std::make_shared<ConvBufs>();
+  auto plan = [rec](bool needed, Index n, BufLife life) {
+    return rec && needed ? graph::AllocBuf(n, life) : nullptr;
+  };
+  b->stg = rec ? plan(true, s.n * StagedImage(s),
+                      need_dw ? BufLife::kSpan : BufLife::kFwd)
+               : graph::LocalBuf(s.n * StagedImage(s));
+  b->panel = plan(true, ck2 * cols, BufLife::kFwd);
+  b->cm = plan(true, s.oc * cols, BufLife::kFwd);
+  b->packt = plan(need_dw, ck2 * cols, BufLife::kBwd);
+  b->packdy = plan(need_dx, s.oc * cols, BufLife::kBwd);
+  b->dcols = plan(need_dx, ck2 * cols, BufLife::kBwd);
 
-  // Eager path. The cols buffer is shared so the backward closure can reuse
-  // it for dW instead of re-unfolding x.
-  CEWS_TRACE_SCOPE("nn.Conv2d");
-  const uint64_t fwd_t0 = Stopwatch::NowNs();
-  auto cols = std::make_shared<ScopedVec>(s.n * ck2 * ohow);
-  {
-    ScopedVec packed(s.n * ck2 * ohow);
-    ConvForwardBody(s, x.data(), w.data(),
-                    bias.defined() ? bias.data() : nullptr, cols->data(),
-                    packed.data(), o->data.data());
-  }
-  {
+  auto fwd = [o, xi, wi, bi, s, conv_flops, b]() {
+    CEWS_TRACE_SCOPE("nn.Conv2d");
+    const uint64_t t0 = Stopwatch::NowNs();
+    ConvForwardBody(s, xi->data.data(), wi->data.data(),
+                    bi != nullptr ? bi->data.data() : nullptr, *b,
+                    o->data.data());
     KernelMetrics& metrics = Conv2dMetrics();
     metrics.calls->Increment();
     metrics.fwd_flops->Add(conv_flops);
-    metrics.fwd_ns->Add(Stopwatch::NowNs() - fwd_t0);
-  }
-
+    metrics.fwd_ns->Add(Stopwatch::NowNs() - t0);
+  };
+  fwd();
+  graph::Record(r, {x, w, bias}, fwd);
   if (track) {
     auto ix = x.impl();
     auto iw = w.impl();
     auto ib = bias.defined() ? bias.impl() : std::shared_ptr<TensorImpl>();
-    r.impl()->backward_fn = [o, ix, iw, ib, s, conv_flops, cols]() {
-      ConvBackwardBody(s, conv_flops, o, ix.get(), iw.get(), ib.get(),
-                       cols->data(), nullptr, nullptr, nullptr);
+    r.impl()->backward_fn = [o, ix, iw, ib, s, conv_flops, b]() {
+      ConvBackwardBody(s, conv_flops, o, ix.get(), iw.get(), ib.get(), *b);
     };
   }
   return r;

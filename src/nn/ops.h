@@ -108,9 +108,10 @@ Tensor Huber(const Tensor& x, float delta);
 Tensor HuberLoss(const Tensor& pred, const Tensor& target,
                  float delta = 1.0f);
 
-// Raw forward kernels behind Conv2d and LayerNormOp, exposed so the int8
-// policy executor (agents/quant_policy.h) lowers convs and normalizes
-// activations with the exact code the fp32 path runs.
+// The conv geometry, the plain im2col unfold and the raw LayerNorm forward,
+// exposed for the int8 policy executor (agents/quant_policy.h): it unfolds
+// each image with Im2Col (Conv2d itself gathers its GEMM panels from a
+// padded staging copy) and normalizes with the code LayerNormOp runs.
 
 /// Static geometry of one Conv2d call (im2col formulation). The patch
 /// dimension p = (ic * kh + ky) * kw + kx indexes rows of the column matrix;

@@ -80,8 +80,8 @@ class Workspace {
 inline constexpr std::size_t kPanelAlignment = 64;
 
 /// RAII scratch buffer: AcquireVec on construction, Recycle on destruction.
-/// Move-only; the typical holder for im2col columns, packed GEMM panels and
-/// per-image scratch inside kernel bodies.
+/// Move-only; the typical holder for conv staging copies, packed GEMM panels
+/// and gradient scratch inside kernel bodies.
 class ScopedVec {
  public:
   explicit ScopedVec(Index n) : v_(Workspace::AcquireVec(n)) {}

@@ -20,6 +20,7 @@ namespace {
 /// Latencies and error/shed counts one client or submitter collected.
 struct ClientTally {
   std::vector<uint64_t> latency_ns;
+  std::vector<uint64_t> server_latency_ns;  // ScheduleResponse::latency_ns
   uint64_t batch_size_sum = 0;
   uint64_t completed = 0;
   uint64_t errors = 0;
@@ -43,6 +44,7 @@ void Tally(const ScheduleResponse& response, uint64_t latency_ns,
   ++tally.completed;
   tally.batch_size_sum += static_cast<uint64_t>(response.batch_size);
   tally.latency_ns.push_back(latency_ns);
+  tally.server_latency_ns.push_back(response.latency_ns);
 }
 
 void RunClosedLoopClient(Fleet& fleet, const env::Map& map,
@@ -225,7 +227,7 @@ Result<LoadResult> RunLoad(Fleet& fleet, const env::Map& map,
 
   LoadResult result;
   result.wall_seconds = wall_seconds;
-  std::vector<uint64_t> all_latencies;
+  std::vector<uint64_t> all_latencies, server_latencies;
   uint64_t batch_sum = 0;
   uint64_t completed = 0;
   for (const ClientTally& tally : tallies) {
@@ -236,8 +238,12 @@ Result<LoadResult> RunLoad(Fleet& fleet, const env::Map& map,
     batch_sum += tally.batch_size_sum;
     all_latencies.insert(all_latencies.end(), tally.latency_ns.begin(),
                          tally.latency_ns.end());
+    server_latencies.insert(server_latencies.end(),
+                            tally.server_latency_ns.begin(),
+                            tally.server_latency_ns.end());
   }
   std::sort(all_latencies.begin(), all_latencies.end());
+  std::sort(server_latencies.begin(), server_latencies.end());
   result.throughput_rps =
       wall_seconds > 0.0 ? static_cast<double>(completed) / wall_seconds
                          : 0.0;
@@ -257,6 +263,7 @@ Result<LoadResult> RunLoad(Fleet& fleet, const env::Map& map,
     result.latency_p95_us = PercentileUs(all_latencies, 0.95);
     result.latency_p99_us = PercentileUs(all_latencies, 0.99);
     result.latency_p999_us = PercentileUs(all_latencies, 0.999);
+    result.server_latency_p99_us = PercentileUs(server_latencies, 0.99);
   }
   result.mean_batch =
       completed > 0

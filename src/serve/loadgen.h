@@ -93,6 +93,11 @@ struct LoadResult {
   double latency_p95_us = 0.0;
   double latency_p99_us = 0.0;
   double latency_p999_us = 0.0;
+  /// Exact p99 of the server-measured ScheduleResponse::latency_ns
+  /// (enqueue to completion) over the same completions: the interval the
+  /// serve latency histograms record for requests without an arrival_ns.
+  /// Client-side scheduling delay never enters it.
+  double server_latency_p99_us = 0.0;
   /// Mean batched-Forward size over the completions (how well requests
   /// coalesced).
   double mean_batch = 0.0;

@@ -186,18 +186,43 @@ TEST(WorkspaceTest, TrimReleasesRetainedBytes) {
   EXPECT_EQ(Workspace::GlobalStats().misses, s0.misses + 1);
 }
 
-/// One synthetic "training step" over both hot kernels: MatMul and Conv2d
-/// forward + backward, with fresh output/grad/scratch buffers each time.
-void KernelStep(Tensor& a, Tensor& b, Tensor& x, Tensor& w, Tensor& bias) {
-  Tensor mm = MatMul(a, b);
-  Tensor cv = Conv2d(x, w, bias, /*stride=*/1, /*padding=*/1);
-  Tensor loss = Add(Mean(Square(mm)), Mean(Square(cv)));
+/// One conv layer of the synthetic step: input, weight, bias and stride.
+struct ConvStep {
+  Tensor x, w, bias;
+  int stride;
+};
+
+/// One synthetic "training step" over both hot kernels: MatMul and every
+/// Conv2d forward + backward, with fresh output/grad/scratch buffers each
+/// time.
+void KernelStep(Tensor& a, Tensor& b, std::vector<ConvStep>& convs) {
+  Tensor loss = Mean(Square(MatMul(a, b)));
+  for (const ConvStep& c : convs) {
+    Tensor cv = Conv2d(c.x, c.w, c.bias, c.stride, /*padding=*/1);
+    loss = Add(loss, Mean(Square(cv)));
+  }
   a.ZeroGrad();
   b.ZeroGrad();
-  x.ZeroGrad();
-  w.ZeroGrad();
-  bias.ZeroGrad();
+  for (ConvStep& c : convs) {
+    c.x.ZeroGrad();
+    c.w.ZeroGrad();
+    c.bias.ZeroGrad();
+  }
   loss.Backward();
+}
+
+ConvStep MakeConvStep(Index n, Index c, Index hw, Index oc, int stride,
+                      uint64_t seed) {
+  return ConvStep{
+      Tensor::FromData({n, c, hw, hw},
+                       RandomData(static_cast<size_t>(n * c * hw * hw), seed),
+                       true),
+      Tensor::FromData({oc, c, 3, 3},
+                       RandomData(static_cast<size_t>(oc * c * 9), seed + 1),
+                       true),
+      Tensor::FromData({oc}, RandomData(static_cast<size_t>(oc), seed + 2),
+                       true),
+      stride};
 }
 
 TEST(WorkspaceChurnTest, KernelStepsAreAllocationFreeInSteadyState) {
@@ -207,12 +232,13 @@ TEST(WorkspaceChurnTest, KernelStepsAreAllocationFreeInSteadyState) {
   runtime::SetGlobalPoolThreads(1);
   Tensor a = Tensor::FromData({16, 48}, RandomData(16 * 48, 3), true);
   Tensor b = Tensor::FromData({48, 24}, RandomData(48 * 24, 5), true);
-  Tensor x = Tensor::FromData({2, 3, 10, 10}, RandomData(600, 7), true);
-  Tensor w = Tensor::FromData({4, 3, 3, 3}, RandomData(108, 9), true);
-  Tensor bias = Tensor::FromData({4}, RandomData(4, 11), true);
-  for (int i = 0; i < 3; ++i) KernelStep(a, b, x, w, bias);  // warm the arena
+  // A stride-1 conv plus the quick-scale trunk's stride-2 stages.
+  std::vector<ConvStep> convs = {MakeConvStep(2, 3, 10, 4, 1, 7),
+                                 MakeConvStep(2, 4, 12, 6, 2, 17),
+                                 MakeConvStep(2, 6, 6, 6, 2, 27)};
+  for (int i = 0; i < 3; ++i) KernelStep(a, b, convs);  // warm the arena
   const Workspace::Stats s0 = Workspace::GlobalStats();
-  for (int i = 0; i < 5; ++i) KernelStep(a, b, x, w, bias);
+  for (int i = 0; i < 5; ++i) KernelStep(a, b, convs);
   const Workspace::Stats s1 = Workspace::GlobalStats();
   EXPECT_EQ(s1.misses, s0.misses) << "steady-state step hit the allocator";
   EXPECT_GT(s1.reuse_hits, s0.reuse_hits);

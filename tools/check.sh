@@ -3,10 +3,10 @@
 # the concurrency-sensitive targets (thread pool, parallel kernels, the
 # expression-graph engine, both trainers, the serve and dist subsystems)
 # and an ASan+UBSan build of the vectorized acting path (VecEnv, trainer
-# core, both trainers) plus the graph, serve, dist and
+# core, both trainers) plus the nn op/gradient/conv, graph, serve, dist and
 # checkpoint-serialization tests, ending with the pinned-hash guard (both
-# trainers' golden final parameters and the int8 forward's CRC pins) and a
-# multi-process train-dist smoke that must drive the
+# trainers' golden final parameters, the int8 forward's and Conv2d's CRC
+# pins) and a multi-process train-dist smoke that must drive the
 # publish gate through a reject-then-accept sequence into a live fleet,
 # whose trained snapshot then backs an int8 serve smoke (the startup
 # agreement gate must clear 99%). Both sanitizer passes include the int8
@@ -139,7 +139,7 @@ else
     -DCEWS_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "$repo/build-tsan" -j "$jobs" --target \
     common_thread_pool_test nn_parallel_determinism_test nn_gemm_test \
-    nn_quant_test nn_graph_test agents_graph_equivalence_test \
+    nn_conv_test nn_quant_test nn_graph_test agents_graph_equivalence_test \
     agents_trainer_core_test agents_trainer_test agents_async_test \
     obs_metrics_test obs_trace_test obs_integration_test \
     obs_rolling_test obs_flight_test \
@@ -148,7 +148,7 @@ else
 
   echo "== tsan: concurrency tests =="
   (cd "$repo/build-tsan" && ctest --output-on-failure -j "$jobs" -R \
-    "common_thread_pool_test|nn_parallel_determinism_test|nn_gemm_test|nn_quant_test|nn_graph_test|agents_graph_equivalence_test|agents_trainer_core_test|agents_trainer_test|agents_async_test|obs_metrics_test|obs_trace_test|obs_integration_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
+    "common_thread_pool_test|nn_parallel_determinism_test|nn_gemm_test|nn_conv_test|nn_quant_test|nn_graph_test|agents_graph_equivalence_test|agents_trainer_core_test|agents_trainer_test|agents_async_test|obs_metrics_test|obs_trace_test|obs_integration_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
 fi
 
 if [[ "$skip_asan" == 1 ]]; then
@@ -162,14 +162,15 @@ else
   cmake --build "$repo/build-asan" -j "$jobs" --target \
     env_vec_env_test agents_trainer_core_test agents_vec_equivalence_test \
     agents_trainer_test agents_async_test nn_gemm_test nn_quant_test \
-    nn_graph_test agents_graph_equivalence_test \
+    nn_graph_test agents_graph_equivalence_test nn_ops_test \
+    nn_grad_check_test nn_parallel_determinism_test nn_conv_test \
     nn_serialize_test obs_rolling_test obs_flight_test \
     serve_batcher_test serve_server_test serve_fleet_test serve_trace_test \
     serve_quant_test dist_transport_test dist_trainer_equivalence_test
 
-  echo "== asan+ubsan: vec acting + serve + dist path tests =="
+  echo "== asan+ubsan: vec acting + nn + serve + dist path tests =="
   (cd "$repo/build-asan" && ctest --output-on-failure -j "$jobs" -R \
-    "env_vec_env_test|agents_trainer_core_test|agents_vec_equivalence_test|agents_trainer_test|agents_async_test|nn_gemm_test|nn_quant_test|nn_graph_test|agents_graph_equivalence_test|nn_serialize_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
+    "env_vec_env_test|agents_trainer_core_test|agents_vec_equivalence_test|agents_trainer_test|agents_async_test|nn_gemm_test|nn_quant_test|nn_graph_test|agents_graph_equivalence_test|nn_ops_test|nn_grad_check_test|nn_parallel_determinism_test|nn_conv_test|nn_serialize_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
 fi
 
 echo "== graph + dist + int8: pinned-hash guard =="
@@ -180,14 +181,17 @@ echo "== graph + dist + int8: pinned-hash guard =="
 # pinned hashes in each intrinsic mode (the two trainers share their cores,
 # so these catch drift the dist equivalence test cannot see). The int8
 # serving forward must end on its pinned output CRCs at batch 1 and 16,
-# since it shares the trunk's im2col, LayerNorm and GEMM code. Runs in the
-# plain build so a regression fails the check even when both sanitizer
-# passes are skipped.
+# since it shares the trunk's conv geometry, LayerNorm and GEMM code. Conv2d's
+# forward output and dx/dW/db must end on their pinned CRCs for the trunk
+# stages and the non-trunk geometries, eager and compiled, at pool widths 1
+# and 4. Runs in the plain build so a regression fails the check even when
+# both sanitizer passes are skipped.
 "$repo/build/tests/agents_graph_equivalence_test" \
   --gtest_filter='*PinnedTapeHash*'
 "$repo/build/tests/dist_trainer_equivalence_test" \
   --gtest_filter='*PinnedHash*'
 "$repo/build/tests/serve_quant_test" --gtest_filter='*Pinned*'
+"$repo/build/tests/nn_conv_test"
 
 echo "== dist: multi-process train-dist + publish-gate smoke =="
 # End-to-end exercise of the distributed trainer: a chief forks two

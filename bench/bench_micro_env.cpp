@@ -6,6 +6,7 @@
 #include "env/env.h"
 #include "env/map.h"
 #include "env/state_encoder.h"
+#include "env/vec_env.h"
 
 namespace {
 
@@ -57,6 +58,15 @@ void BM_StateEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StateEncode)->Arg(12)->Arg(20);
+
+/// The per-step move-validity mask the acting path attaches to each env.
+void BM_MoveValidityMask(benchmark::State& state) {
+  env::Env env(env::EnvConfig{}, BenchMap(300, 2));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(env::MoveValidityMask(env));
+  }
+}
+BENCHMARK(BM_MoveValidityMask);
 
 void BM_GreedyPlan(benchmark::State& state) {
   env::Env env(env::EnvConfig{}, BenchMap(300, 2));

@@ -1,5 +1,6 @@
 #include "agents/chief_employee.h"
 
+#include <algorithm>
 #include <thread>
 
 #include "agents/trainer_obs.h"
@@ -26,34 +27,70 @@ ChiefEmployeeTrainer::ChiefEmployeeTrainer(const TrainerConfig& config,
   CEWS_CHECK_GT(config_.update_epochs, 0);
   CEWS_CHECK_GT(config_.envs_per_employee, 0);
 
-  ppo_grad_buffer_.assign(
+  ppo_grad_sum_.assign(
       static_cast<size_t>(nn::FlatSize(learner_.net().Parameters())), 0.0f);
-  intrinsic_grad_buffer_.assign(
+  intrinsic_grad_sum_.assign(
       static_cast<size_t>(
           nn::FlatSize(learner_.models().IntrinsicParameters())),
       0.0f);
-  episode_accum_.assign(static_cast<size_t>(config_.episodes),
-                        EpisodeAccumulator{});
-  if (config_.heatmap_snapshot_every > 0) {
-    const size_t cells = static_cast<size_t>(config_.curiosity.num_cells);
-    heatmaps_.assign(static_cast<size_t>(config_.num_employees),
-                     HeatmapAccumulator{std::vector<double>(cells, 0.0),
-                                        std::vector<int64_t>(cells, 0)});
+  slots_.resize(static_cast<size_t>(config_.num_employees));
+  for (EmployeeSlot& slot : slots_) {
+    slot.episodes.assign(static_cast<size_t>(config_.episodes),
+                         EpisodeAccumulator{});
+    if (config_.heatmap_snapshot_every > 0) {
+      const size_t cells = static_cast<size_t>(config_.curiosity.num_cells);
+      slot.heatmap = HeatmapAccumulator{std::vector<double>(cells, 0.0),
+                                        std::vector<int64_t>(cells, 0)};
+    }
   }
 }
 
+void ChiefEmployeeTrainer::ApplySlotGradients() {
+  // Each sum starts at 0.0f and adds slot 0, slot 1, ... so its grouping
+  // never depends on which thread arrived first.
+  std::fill(ppo_grad_sum_.begin(), ppo_grad_sum_.end(), 0.0f);
+  std::fill(intrinsic_grad_sum_.begin(), intrinsic_grad_sum_.end(), 0.0f);
+  for (const EmployeeSlot& slot : slots_) {
+    for (size_t i = 0; i < ppo_grad_sum_.size(); ++i) {
+      ppo_grad_sum_[i] += slot.ppo_grad[i];
+    }
+    for (size_t i = 0; i < slot.intrinsic_grad.size(); ++i) {
+      intrinsic_grad_sum_[i] += slot.intrinsic_grad[i];
+    }
+  }
+  learner_.ApplySummedGradients(ppo_grad_sum_, intrinsic_grad_sum_);
+}
+
+ChiefEmployeeTrainer::EpisodeAccumulator ChiefEmployeeTrainer::SumEpisode(
+    int episode) const {
+  EpisodeAccumulator sum;
+  for (const EmployeeSlot& slot : slots_) {
+    const EpisodeAccumulator& acc =
+        slot.episodes[static_cast<size_t>(episode)];
+    sum.kappa += acc.kappa;
+    sum.xi += acc.xi;
+    sum.rho += acc.rho;
+    sum.extrinsic += acc.extrinsic;
+    sum.intrinsic += acc.intrinsic;
+    sum.wall += acc.wall;
+    sum.steps += acc.steps;
+  }
+  return sum;
+}
+
 void ChiefEmployeeTrainer::MaybeSnapshotHeatmap(int episode) {
-  if (heatmaps_.empty()) return;
+  if (config_.heatmap_snapshot_every <= 0) return;
   if ((episode + 1) % config_.heatmap_snapshot_every != 0) return;
   HeatmapSnapshot snap;
   snap.episode = episode + 1;
-  snap.cell_values.assign(heatmaps_.front().sum.size(), 0.0);
+  snap.cell_values.assign(slots_.front().heatmap.sum.size(), 0.0);
   for (size_t i = 0; i < snap.cell_values.size(); ++i) {
     // Employees are summed in index order, so the snapshot is
     // deterministic at any employee count.
     double sum = 0.0;
     int64_t count = 0;
-    for (HeatmapAccumulator& heatmap : heatmaps_) {
+    for (EmployeeSlot& slot : slots_) {
+      HeatmapAccumulator& heatmap = slot.heatmap;
       sum += heatmap.sum[i];
       count += heatmap.count[i];
       heatmap.sum[i] = 0.0;
@@ -68,14 +105,12 @@ void ChiefEmployeeTrainer::EmployeeLoop(int employee_id) {
   // The local models' PPO weights are overwritten by the first parameter
   // copy; the intrinsic module is seeded like the learner's, so its frozen
   // parts match across threads.
+  EmployeeSlot& slot = slots_[static_cast<size_t>(employee_id)];
   EmployeeCore core(config_, map_, employee_id,
-                    heatmaps_.empty()
-                        ? nullptr
-                        : &heatmaps_[static_cast<size_t>(employee_id)]);
+                    slot.heatmap.sum.empty() ? nullptr : &slot.heatmap);
   core.CopyParams(learner_);
 
   TrainerPhaseMetrics& phase_metrics = TrainerMetrics();
-  std::vector<float> ppo_flat, intrinsic_flat;
   for (int episode = 0; episode < config_.episodes; ++episode) {
     // ---- Exploration (Algorithm 1, lines 4-15): all envs_per_employee
     // instances act through one batched Forward per lockstep step. ----
@@ -86,18 +121,14 @@ void ChiefEmployeeTrainer::EmployeeLoop(int employee_id) {
     // Record this employee's episode diagnostics (instance means, so the
     // accumulator keeps the legacy per-employee scale at any
     // envs_per_employee).
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      EpisodeAccumulator& acc =
-          episode_accum_[static_cast<size_t>(episode)];
-      acc.kappa += rollout.stats.kappa;
-      acc.xi += rollout.stats.xi;
-      acc.rho += rollout.stats.rho;
-      acc.extrinsic += rollout.stats.extrinsic_sum /
-                       (config_.env.horizon * config_.envs_per_employee);
-      acc.intrinsic += rollout.stats.intrinsic_sum /
-                       (config_.env.horizon * config_.envs_per_employee);
-    }
+    EpisodeAccumulator& acc = slot.episodes[static_cast<size_t>(episode)];
+    acc.kappa = rollout.stats.kappa;
+    acc.xi = rollout.stats.xi;
+    acc.rho = rollout.stats.rho;
+    acc.extrinsic = rollout.stats.extrinsic_sum /
+                    (config_.env.horizon * config_.envs_per_employee);
+    acc.intrinsic = rollout.stats.intrinsic_sum /
+                    (config_.env.horizon * config_.envs_per_employee);
 
     // All instance episodes train as one pool of transitions.
     const RolloutBuffer buffer = MergeBuffers(std::move(rollout.buffers));
@@ -108,33 +139,19 @@ void ChiefEmployeeTrainer::EmployeeLoop(int employee_id) {
         CEWS_TRACE_SCOPE("trainer.learn");
         obs::ScopedTimerNs learn_timer(phase_metrics.learn_ns);
         // Employee 0 reports the loss gauge: one writer, no averaging race.
+        // The gradients go to this employee's slot (Algorithm 1, line 20).
         LossStats loss_stats;
         core.ComputeGradients(buffer, rollout.samples,
                               employee_id == 0 ? &loss_stats : nullptr,
-                              &ppo_flat, &intrinsic_flat);
-
-        // Send gradients to the global buffers (Algorithm 1, line 20).
-        std::lock_guard<std::mutex> lock(buffer_mu_);
-        for (size_t i = 0; i < ppo_flat.size(); ++i) {
-          ppo_grad_buffer_[i] += ppo_flat[i];
-        }
-        for (size_t i = 0; i < intrinsic_flat.size(); ++i) {
-          intrinsic_grad_buffer_[i] += intrinsic_flat[i];
-        }
+                              &slot.ppo_grad, &slot.intrinsic_grad);
       }
 
-      // Wait for the chief to apply the summed buffers (Algorithm 2, lines
+      // Wait for the chief to sum and apply the slots (Algorithm 2, lines
       // 3-7), then copy the fresh parameters (Algorithm 1, lines 21-22).
       {
         CEWS_TRACE_SCOPE("trainer.barrier");
         obs::ScopedTimerNs barrier_timer(phase_metrics.barrier_ns);
-        barrier_.ArriveAndWait([this]() {
-          learner_.ApplySummedGradients(ppo_grad_buffer_,
-                                        intrinsic_grad_buffer_);
-          std::fill(ppo_grad_buffer_.begin(), ppo_grad_buffer_.end(), 0.0f);
-          std::fill(intrinsic_grad_buffer_.begin(),
-                    intrinsic_grad_buffer_.end(), 0.0f);
-        });
+        barrier_.ArriveAndWait([this]() { ApplySlotGradients(); });
       }
       {
         CEWS_TRACE_SCOPE("trainer.sync");
@@ -150,16 +167,12 @@ void ChiefEmployeeTrainer::EmployeeLoop(int employee_id) {
       obs::ScopedTimerNs barrier_timer(phase_metrics.barrier_ns);
       barrier_.ArriveAndWait([this, episode, &phase_metrics]() {
         MaybeSnapshotHeatmap(episode);
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          const EpisodeAccumulator& acc =
-              episode_accum_[static_cast<size_t>(episode)];
-          const double inv_e = 1.0 / config_.num_employees;
-          phase_metrics.episodes->Increment();
-          phase_metrics.kappa->Set(acc.kappa * inv_e);
-          phase_metrics.xi->Set(acc.xi * inv_e);
-          phase_metrics.rho->Set(acc.rho * inv_e);
-        }
+        const EpisodeAccumulator sum = SumEpisode(episode);
+        const double inv_e = 1.0 / config_.num_employees;
+        phase_metrics.episodes->Increment();
+        phase_metrics.kappa->Set(sum.kappa * inv_e);
+        phase_metrics.xi->Set(sum.xi * inv_e);
+        phase_metrics.rho->Set(sum.rho * inv_e);
         if (config_.checkpoint_every > 0 &&
             (episode + 1) % config_.checkpoint_every == 0) {
           const std::string path = config_.checkpoint_prefix +
@@ -180,12 +193,8 @@ void ChiefEmployeeTrainer::EmployeeLoop(int employee_id) {
 
     // Wall time covers the whole synchronized episode (rollout + updates +
     // barriers), so steps/s reflects delivered end-to-end throughput.
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      EpisodeAccumulator& acc = episode_accum_[static_cast<size_t>(episode)];
-      acc.wall += episode_watch.ElapsedSeconds();
-      acc.steps += rollout.stats.env_steps;
-    }
+    acc.wall = episode_watch.ElapsedSeconds();
+    acc.steps = rollout.stats.env_steps;
   }
 }
 
@@ -211,7 +220,7 @@ TrainResult ChiefEmployeeTrainer::Train() {
   result.history.reserve(static_cast<size_t>(config_.episodes));
   const double inv_e = 1.0 / config_.num_employees;
   for (int e = 0; e < config_.episodes; ++e) {
-    const EpisodeAccumulator& acc = episode_accum_[static_cast<size_t>(e)];
+    const EpisodeAccumulator acc = SumEpisode(e);
     EpisodeRecord rec;
     rec.episode = e;
     rec.kappa = acc.kappa * inv_e;

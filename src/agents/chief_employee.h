@@ -2,16 +2,16 @@
 // Algorithms 1-2), in one process: threads that run the employee and
 // learner cores it shares with cews::dist (agents/trainer_core.h). Each
 // employee thread runs an EmployeeCore — rollout, then per update round a
-// clipped gradient that it adds into two global gradient buffers (PPO +
-// intrinsic). At the barrier the chief applies the summed buffers with
-// LearnerCore::ApplySummedGradients (the paper's rule) and releases the
-// employees to copy the new parameters. The threads, the barrier, the
-// gradient buffers, heat-map snapshots and checkpoints live here; the cores
-// own every model, seed and update step.
+// clipped gradient (PPO + intrinsic) that it writes into its own slot. At
+// the barrier the chief sums the slots in employee order, applies the sums
+// with LearnerCore::ApplySummedGradients (the paper's rule) and releases
+// the employees to copy the new parameters. Summing in employee order keeps
+// a run bitwise repeatable at any employee count. The threads, the barrier,
+// the slots, heat-map snapshots and checkpoints live here; the cores own
+// every model, seed and update step.
 #ifndef CEWS_AGENTS_CHIEF_EMPLOYEE_H_
 #define CEWS_AGENTS_CHIEF_EMPLOYEE_H_
 
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -73,14 +73,34 @@ class ChiefEmployeeTrainer {
   const TrainerConfig& config() const { return config_; }
 
  private:
+  /// One employee's episode diagnostics, or (from SumEpisode) their sum
+  /// over employees.
   struct EpisodeAccumulator {
     double kappa = 0.0, xi = 0.0, rho = 0.0;
     double extrinsic = 0.0, intrinsic = 0.0;
-    double wall = 0.0;   ///< Summed employee wall seconds for the episode.
-    int64_t steps = 0;   ///< Total env steps across employees.
+    double wall = 0.0;  ///< Employee wall seconds for the episode.
+    int64_t steps = 0;  ///< Env steps.
+  };
+
+  /// Everything one employee hands the chief. Each employee writes only its
+  /// own slot; the chief reads the slots while every employee is parked at
+  /// the barrier (or after the threads joined).
+  struct EmployeeSlot {
+    std::vector<float> ppo_grad;
+    /// Empty in rounds where the intrinsic loss did not run.
+    std::vector<float> intrinsic_grad;
+    std::vector<EpisodeAccumulator> episodes;  ///< One per episode.
+    /// Curiosity heat map (Fig. 9) of the current snapshot window; empty
+    /// when snapshots are off.
+    HeatmapAccumulator heatmap;
   };
 
   void EmployeeLoop(int employee_id);
+  /// Runs on the last barrier arriver once per update round: sums the
+  /// slots' gradients in employee order and steps the global models.
+  void ApplySlotGradients();
+  /// The employees' diagnostics for `episode`, summed in employee order.
+  EpisodeAccumulator SumEpisode(int episode) const;
   /// Runs on the last barrier arriver once per episode: sums the employees'
   /// heat-map windows into a snapshot when one is due.
   void MaybeSnapshotHeatmap(int episode);
@@ -88,22 +108,13 @@ class ChiefEmployeeTrainer {
   TrainerConfig config_;
   env::Map map_;
   LearnerCore learner_;
-
-  // Global gradient buffers (Fig. 1 center) and their lock.
-  std::mutex buffer_mu_;
-  std::vector<float> ppo_grad_buffer_;
-  std::vector<float> intrinsic_grad_buffer_;
-
   Barrier barrier_;
+  std::vector<EmployeeSlot> slots_;
 
-  // Shared training diagnostics.
-  std::mutex stats_mu_;
-  std::vector<EpisodeAccumulator> episode_accum_;
+  // The chief's gradient sums (Fig. 1 center), written only at the barrier.
+  std::vector<float> ppo_grad_sum_;
+  std::vector<float> intrinsic_grad_sum_;
 
-  // Curiosity heat map (Fig. 9): one accumulator per employee for the
-  // current snapshot window, empty when snapshots are off. Each employee
-  // writes only its own; the chief reads them at the episode barrier.
-  std::vector<HeatmapAccumulator> heatmaps_;
   std::vector<HeatmapSnapshot> heatmap_snapshots_;
 };
 

@@ -66,8 +66,7 @@ void RunClosedLoopClient(Fleet& fleet, const env::Map& map,
     } else {
       request.env = &env;
     }
-    if (spec.use_masks) request.move_mask = env::MoveValidityMask(env);
-    request.deterministic = spec.deterministic;
+    request.move_mask = env::MoveValidityMask(env);
 
     const uint64_t start_ns = Stopwatch::NowNs();
     const ScheduleResponse response = fleet.Submit(std::move(request)).get();
@@ -101,8 +100,7 @@ void RunOpenLoopSubmitter(Fleet& fleet, const env::Map& map,
   // almost nothing per request, and the open-loop mode measures the
   // serving path, not the encoder.
   const std::vector<float> base_state = encoder.Encode(env);
-  const std::vector<uint8_t> base_mask =
-      spec.use_masks ? env::MoveValidityMask(env) : std::vector<uint8_t>{};
+  const std::vector<uint8_t> base_mask = env::MoveValidityMask(env);
 
   Rng rng(spec.seed + 0x9E3779B97F4A7C15ULL *
                           static_cast<uint64_t>(thread_index + 1));
@@ -140,7 +138,6 @@ void RunOpenLoopSubmitter(Fleet& fleet, const env::Map& map,
     request.scenario = spec.scenario;
     request.state = base_state;
     request.move_mask = base_mask;
-    request.deterministic = spec.deterministic;
     // Declare the scheduled arrival so the server's rolling latency gauges
     // charge from it (matching the lag_ns + latency_ns sum tallied below).
     request.arrival_ns = intended_ns;

@@ -18,7 +18,10 @@
 //     queues) or as counted sheds (admission control). This is the mode
 //     the p999 column exists for.
 //
-// Used by the `cews serve` CLI subcommand and bench_serve.
+// Every request carries its step's move-validity mask
+// (env::MoveValidityMask) and samples its actions.
+//
+// Used by the `cews serve` and `cews train-dist` CLI subcommands.
 #ifndef CEWS_SERVE_LOADGEN_H_
 #define CEWS_SERVE_LOADGEN_H_
 
@@ -61,10 +64,6 @@ struct LoadSpec {
   /// action space must produce the server net's num_moves and the map must
   /// spawn its num_workers.
   env::EnvConfig env;
-  /// Argmax decisions instead of sampling.
-  bool deterministic = false;
-  /// Attach per-step move-validity masks (env::MoveValidityMask).
-  bool use_masks = true;
   /// Scenario tag stamped on every request ("" = the fleet's default).
   std::string scenario;
   /// Seeds the open-loop arrival process and client-id draws.

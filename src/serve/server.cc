@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -23,6 +24,18 @@ namespace {
 /// Per-shard metric names: serve.shard.N.*.
 std::string ShardMetricName(int shard_index, const char* suffix) {
   return "serve.shard." + std::to_string(shard_index) + "." + suffix;
+}
+
+/// True when no value is NaN or ±Inf (all exponent bits set). Branch-free
+/// so it vectorizes: it runs on the submitting thread for every request.
+bool AllFinite(const std::vector<float>& values) {
+  uint32_t non_finite = 0;
+  for (const float v : values) {
+    uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    non_finite |= static_cast<uint32_t>((bits & 0x7f800000u) == 0x7f800000u);
+  }
+  return non_finite == 0;
 }
 
 }  // namespace
@@ -161,6 +174,12 @@ Status PolicyServer::ValidateRequest(const ScheduleRequest& request) const {
     return Status::InvalidArgument(
         "encoded state has " + std::to_string(request.state.size()) +
         " floats, server expects " + std::to_string(StateSize()));
+  }
+  if (!AllFinite(request.state)) {
+    static obs::Counter* const rejected_nonfinite =
+        obs::GetCounter("serve.rejected_nonfinite");
+    rejected_nonfinite->Increment();
+    return Status::InvalidArgument("encoded state holds a non-finite value");
   }
   if (request.state.empty()) {
     if (config_.net.in_channels != env::StateEncoder::kChannels) {

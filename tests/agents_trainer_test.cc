@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <vector>
 
 #include "baselines/dppo.h"
 #include "common/crc32.h"
 #include "env/map.h"
+#include "nn/params.h"
 
 namespace cews::agents {
 namespace {
@@ -145,6 +148,46 @@ TEST(TrainerTest, HeatmapSnapshotsWhenEnabled) {
                  snaps[i].cell_values.size() * sizeof(double));
       EXPECT_EQ(crc.Value(), pinned[i]) << "snapshot " << i;
     }
+  }
+}
+
+TEST(TrainerTest, SummedGradientsRepeatAtAnyEmployeeCount) {
+  // The chief sums the employees' gradients and episode stats in employee
+  // order, so a run repeats bitwise however the threads arrive. Pins are
+  // CRC-32s of the final global parameters' bit patterns; the 2-employee
+  // pin predates the ordered sum (a sum of two is order-free).
+  struct Case {
+    int employees;
+    uint32_t pinned;
+  };
+  for (const Case c : {Case{2, 0xf0027b23u}, Case{3, 0x281c4dd7u},
+                       Case{4, 0x0fb6d82bu}}) {
+    const TrainerConfig config = TinyTrainer(c.employees, 4);
+    std::vector<std::vector<float>> params;
+    std::vector<TrainResult> results;
+    for (int run = 0; run < 2; ++run) {
+      ChiefEmployeeTrainer trainer(config, SmallMap());
+      results.push_back(trainer.Train());
+      params.push_back(nn::FlattenValues(trainer.global_net().Parameters()));
+    }
+    ASSERT_EQ(params[0].size(), params[1].size());
+    EXPECT_EQ(std::memcmp(params[0].data(), params[1].data(),
+                          params[0].size() * sizeof(float)),
+              0)
+        << c.employees << " employees";
+    for (size_t i = 0; i < results[0].history.size(); ++i) {
+      const EpisodeRecord& a = results[0].history[i];
+      const EpisodeRecord& b = results[1].history[i];
+      EXPECT_EQ(a.kappa, b.kappa) << c.employees << " employees, ep " << i;
+      EXPECT_EQ(a.xi, b.xi);
+      EXPECT_EQ(a.rho, b.rho);
+      EXPECT_EQ(a.extrinsic_reward, b.extrinsic_reward);
+      EXPECT_EQ(a.intrinsic_reward, b.intrinsic_reward);
+    }
+    if (!kPinsApply) continue;
+    Crc32 crc;
+    crc.Update(params[0].data(), params[0].size() * sizeof(float));
+    EXPECT_EQ(crc.Value(), c.pinned) << c.employees << " employees";
   }
 }
 

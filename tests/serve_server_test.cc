@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "env/state_encoder.h"
 #include "nn/params.h"
 #include "nn/serialize.h"
+#include "obs/metrics.h"
 #include "serve/fleet.h"
 #include "serve/loadgen.h"
 
@@ -171,6 +173,30 @@ TEST(PolicyServerTest, RejectsMalformedRequests) {
         server->Submit(std::move(request)).get();
     EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
   }
+}
+
+TEST(PolicyServerTest, RejectsNonFiniteStates) {
+  std::unique_ptr<Fleet> server =
+      MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
+                              /*delay_us=*/100));
+  const uint64_t rejected0 =
+      obs::SnapshotMetrics().CounterValue("serve.rejected_nonfinite");
+  const float bad_values[] = {std::nanf(""),
+                              std::numeric_limits<float>::infinity()};
+  for (const float bad : bad_values) {
+    ScheduleRequest request;
+    request.state = FixedState();
+    request.state[17] = bad;
+    const ScheduleResponse response =
+        server->Submit(std::move(request)).get();
+    EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_EQ(obs::SnapshotMetrics().CounterValue("serve.rejected_nonfinite"),
+            rejected0 + 2);
+  // A finite state still serves.
+  ScheduleRequest request;
+  request.state = FixedState();
+  EXPECT_TRUE(server->Submit(std::move(request)).get().ok());
 }
 
 TEST(PolicyServerTest, SubmitAfterStopFailsPrecondition) {

@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
-# Repo health check: tier-1 build + tests, then a ThreadSanitizer build of
-# the concurrency-sensitive targets (thread pool, parallel kernels, the
-# expression-graph engine, both trainers, the serve and dist subsystems)
-# and an ASan+UBSan build of the vectorized acting path (VecEnv, trainer
-# core, both trainers) plus the nn op/gradient/conv, graph, serve, dist and
-# checkpoint-serialization tests, ending with the pinned-hash guard (both
-# trainers' golden final parameters, the int8 forward's and Conv2d's CRC
-# pins) and a multi-process train-dist smoke that must drive the
-# publish gate through a reject-then-accept sequence into a live fleet,
-# whose trained snapshot then backs an int8 serve smoke (the startup
-# agreement gate must clear 99%). Both sanitizer passes include the int8
-# quantization/kernel tests (nn_quant_test, serve_quant_test), and an int8
-# kernel sweep guard requires the quantized serve shapes to stay at or
-# above packed-fp32 parity.
-# Run from anywhere; builds land in build/, build-tsan/, and build-asan/.
+# Repo health check. Every step is a gate: it passes or the script exits
+# non-zero. In order:
+#   1. tier-1: configure, build and run the whole ctest suite (build/);
+#   2. int8 kernel sweep: the quantized serve-shape GEMM rows must exist and
+#      stay at or above packed-fp32 parity;
+#   3. TSan (build-tsan/): the concurrency-sensitive tests (thread pool,
+#      parallel kernels, graph, both trainers, obs, serve, dist);
+#   4. ASan+UBSan (build-asan/): the vectorized acting path, both trainers,
+#      the nn op/gradient/conv/graph/serialization, obs, serve and dist
+#      tests, int8 quantization included;
+#   5. pinned hashes: both trainers' golden final parameters (at 1 to 4
+#      in-process employees), the int8 forward's and Conv2d's CRC pins;
+#   6. a multi-process train-dist smoke that must drive the publish gate
+#      through a reject-then-accept sequence into a live fleet;
+#   7. an int8 serve smoke on that trained snapshot, whose startup
+#      agreement gate must clear 99%.
+# Run from anywhere.
 #
 # Usage: tools/check.sh [--skip-tsan] [--skip-asan]
 set -euo pipefail
@@ -33,40 +35,6 @@ cmake --build "$repo/build" -j "$jobs"
 
 echo "== tier-1: ctest =="
 (cd "$repo/build" && ctest --output-on-failure -j "$jobs")
-
-echo "== obs: tracing overhead guard =="
-# Budget (see DESIGN.md "Observability"): enabling tracing may add at most
-# ~5% to the matmul micro-kernel; the always-on metrics path (what you pay
-# with tracing *disabled*) is strictly cheaper than that — a branch plus a
-# pair of relaxed counter bumps per kernel call. Machine noise on shared CI
-# easily exceeds a few percent, so an overshoot is logged, never fatal.
-if [[ -x "$repo/build/bench/bench_micro_nn" ]]; then
-  bench_filter='BM_MatMul/n:128/threads:1$'
-  run_bench() {  # $1 = CEWS_OBS_TRACE value ("" to leave unset)
-    local out
-    out="$(CEWS_OBS_TRACE="${1:-}" "$repo/build/bench/bench_micro_nn" \
-      --benchmark_filter="$bench_filter" \
-      --benchmark_min_time=0.1 2>/dev/null |
-      awk '/BM_MatMul/ {print $2; exit}')"
-    echo "${out:-0}"
-  }
-  off_ns="$(run_bench "")"
-  on_ns="$(run_bench 1)"
-  if [[ "$off_ns" != 0 && "$on_ns" != 0 ]]; then
-    overhead="$(awk -v a="$off_ns" -v b="$on_ns" \
-      'BEGIN {printf "%.1f", (b - a) / a * 100.0}')"
-    echo "matmul n=128: tracing off ${off_ns} ns, on ${on_ns} ns" \
-         "(tracing adds ${overhead}%; budget 5%)"
-    if awk -v o="$overhead" 'BEGIN {exit !(o > 5.0)}'; then
-      echo "WARNING: tracing overhead ${overhead}% exceeds the 5% budget" \
-           "(informational only — rerun on an idle machine before acting)"
-    fi
-  else
-    echo "could not parse bench output; skipping overhead comparison"
-  fi
-else
-  echo "bench_micro_nn not built; skipping overhead guard"
-fi
 
 echo "== nn: int8 kernel sweep guard =="
 # The quantized serve path's reason to exist is beating packed fp32 on the
@@ -93,40 +61,8 @@ if [[ -x "$repo/build/bench/bench_micro_nn" ]]; then
     exit 1
   fi
 else
-  echo "bench_micro_nn not built; skipping int8 kernel sweep guard"
-fi
-
-echo "== serve: request-tracing overhead guard =="
-# The disabled-tracing serve path pays one relaxed atomic load per request
-# (budget: <=1% on p99); with --trace-out each request additionally records
-# four tagged spans. Open-loop p99 at this scale is dominated by batching
-# delay and scheduler noise, so like the matmul guard this is informational:
-# a big delta means "rerun on an idle machine", not "fail the check".
-if [[ -x "$repo/build/tools/cews" ]]; then
-  serve_p99() {  # $1 = extra args
-    # shellcheck disable=SC2086
-    "$repo/build/tools/cews" serve --scenario open-field --mode open \
-      --arrival-rps 2000 --duration 1 --clients 1000 --shards 2 \
-      --seed 7 $1 2>/dev/null |
-      awk -F'|' '/^\| [0-9]/ {gsub(/ /, "", $12); print $12; exit}'
-  }
-  off_p99="$(serve_p99 "")"
-  on_p99="$(serve_p99 "--trace-out $repo/build/check_serve_trace.json")"
-  if [[ -n "$off_p99" && -n "$on_p99" ]]; then
-    delta="$(awk -v a="$off_p99" -v b="$on_p99" \
-      'BEGIN {printf "%.1f", (b - a) / a * 100.0}')"
-    echo "open-loop p99: tracing off ${off_p99} us, on ${on_p99} us" \
-         "(tracing adds ${delta}%)"
-    if awk -v d="$delta" 'BEGIN {exit !(d > 10.0)}'; then
-      echo "WARNING: request tracing moved open-loop p99 by ${delta}%" \
-           "(informational only — rerun on an idle machine before acting)"
-    fi
-  else
-    echo "could not parse serve output; skipping serve overhead comparison"
-  fi
-  rm -f "$repo/build/check_serve_trace.json"
-else
-  echo "cews CLI not built; skipping serve overhead guard"
+  echo "FAIL: bench_micro_nn not built (configure with CEWS_BUILD_BENCHMARKS=ON)"
+  exit 1
 fi
 
 if [[ "$skip_tsan" == 1 ]]; then
@@ -177,17 +113,21 @@ echo "== graph + dist + int8: pinned-hash guard =="
 # Compiling the training losses must never change training numerics: full
 # in-process training runs (spatial curiosity, RND, no intrinsic module) at
 # pool widths 0/1/2/4 must end on the final-parameter hashes pinned from the
-# per-call tape, and the dist trainer's reference run must end on its own
-# pinned hashes in each intrinsic mode (the two trainers share their cores,
-# so these catch drift the dist equivalence test cannot see). The int8
-# serving forward must end on its pinned output CRCs at batch 1 and 16,
-# since it shares the trunk's conv geometry, LayerNorm and GEMM code. Conv2d's
-# forward output and dx/dW/db must end on their pinned CRCs for the trunk
-# stages and the non-trunk geometries, eager and compiled, at pool widths 1
-# and 4. Runs in the plain build so a regression fails the check even when
-# both sanitizer passes are skipped.
+# per-call tape; in-process runs at 2, 3 and 4 employees must repeat
+# bitwise and end on their own pins (the chief sums the employees'
+# gradients in employee order); and the dist trainer's reference run must
+# end on its own pinned hashes in each intrinsic mode (the two trainers
+# share their cores, so these catch drift the dist equivalence test cannot
+# see). The int8 serving forward must end on its pinned output CRCs at
+# batch 1 and 16, since it shares the trunk's conv geometry, LayerNorm and
+# GEMM code. Conv2d's forward output and dx/dW/db must end on their pinned
+# CRCs for the trunk stages and the non-trunk geometries, eager and
+# compiled, at pool widths 1 and 4. Runs in the plain build so a
+# regression fails the check even when both sanitizer passes are skipped.
 "$repo/build/tests/agents_graph_equivalence_test" \
   --gtest_filter='*PinnedTapeHash*'
+"$repo/build/tests/agents_trainer_test" \
+  --gtest_filter='*SummedGradientsRepeatAtAnyEmployeeCount*'
 "$repo/build/tests/dist_trainer_equivalence_test" \
   --gtest_filter='*PinnedHash*'
 "$repo/build/tests/serve_quant_test" --gtest_filter='*Pinned*'

@@ -22,6 +22,7 @@
 #include "agents/cnn_trunk.h"
 #include "agents/policy_net.h"
 #include "agents/ppo.h"
+#include "agents/quant_policy.h"
 #include "bench/bench_util.h"
 #include "common/env_flags.h"
 #include "common/rng.h"
@@ -250,6 +251,31 @@ void BM_PolicyNetForwardBatch(benchmark::State& state) {
 BENCHMARK(BM_PolicyNetForwardBatch)
     ->ArgNames({"batch", "threads"})
     ->ArgsProduct({{1, 4, 8, 16}, {1, 2}});
+
+// The int8 serving forward over the same net and state stack, at the
+// serve batch extremes: compare with BM_PolicyNetForwardBatch (grid 12) and
+// BM_PolicyNetForward (batch 1). Quantization runs once, outside the loop,
+// as it does at publish.
+void BM_QuantPolicyForward(benchmark::State& state) {
+  const int grid = static_cast<int>(state.range(0));
+  const int batch = static_cast<int>(state.range(1));
+  runtime::SetGlobalPoolThreads(1);
+  Rng rng(6);
+  const agents::PolicyNetConfig config = BenchNet(grid);
+  const agents::PolicyNet net(config, rng);
+  const nn::quant::QuantizedParams qp =
+      agents::QuantizePolicyParams(net.Parameters());
+  std::vector<float> states(static_cast<size_t>(batch * 3 * grid * grid));
+  for (float& x : states) x = static_cast<float>(rng.Uniform(0, 1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        agents::QuantPolicyForward(config, qp, states.data(), batch));
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_QuantPolicyForward)
+    ->ArgNames({"grid", "batch"})
+    ->ArgsProduct({{12, 20}, {1, 16}});
 
 /// Fills `buffer` with `batch` on-policy transitions from `agent`.
 agents::RolloutBuffer FillPpoBuffer(agents::PpoAgent& agent, int batch) {

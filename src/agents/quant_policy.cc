@@ -22,68 +22,52 @@ using nn::quant::QuantizedParams;
 using nn::quant::QuantizedTensor;
 namespace gemm = nn::gemm;
 
-/// One conv-LN-ReLU block over the whole batch, int8 GEMM per image:
-/// nn::Im2Col -> per-output-pixel activation quantize -> pack ->
-/// Int8DotRows with the quantized conv weight on the A side, then
-/// nn::LayerNormBody over the image's oc*oh*ow features and ReLU. Images
-/// are independent, so parallelizing over them is partition-invariant; the
-/// per-image work is bitwise-fixed.
+/// One conv-LN-ReLU block over the whole batch. The batch is staged once by
+/// the fp32 Conv2d's own nn::StageConvInput; then each 32-column tile of
+/// the [ck2, n*ohow] column matrix is gathered (gemm::PackTile), quantized
+/// per column into a tile-sized int8 panel, multiplied by the quantized
+/// conv weight (Int8DotRows) and scattered to NCHW. nn::LayerNormBody and
+/// ReLU then run per image. A column's scale depends only on that column
+/// and int32 accumulation is exact, so every output bit is independent of
+/// the tiling, the batch size and the thread count.
 void ConvLnReluStage(const nn::ConvShape& s, const QuantizedTensor& wq,
                      const float* bias, const float* ln_g, const float* ln_b,
                      const float* in, float* out) {
-  const Index ck2 = s.ck2();
-  const Index ohow = s.ohow();
+  const Index ck2 = s.ck2(), cols = s.n * s.ohow(), out_img = s.oc * s.ohow();
   CEWS_CHECK(wq.channels == s.oc && wq.per_channel == ck2);
-  const Index in_img = s.c * s.h * s.w;
-  const Index out_img = s.oc * ohow;
-  gemm::ParallelKernel(s.n, 2 * s.oc * ck2 * ohow, [&](Index n0, Index n1) {
-    // Per-thread scratch: the Workspace arena is thread_local, so each
-    // worker's buffers are private and recycled across its images.
-    ScopedVec cols(ck2 * ohow);
-    ScopedVec col_scales(ohow);
-    nn::AlignedScopedBytes panel(gemm::Int8PanelBytes(ck2, ohow));
-    // The conv output lands in `pre`, not in place: LayerNormBody's output
-    // loop only vectorizes when its input and output do not overlap.
-    ScopedVec pre(out_img);
-    ScopedVec xhat(out_img);
+  ScopedVec stg(s.n * s.staged_image());
+  nn::StageConvInput(s, in, stg.data());
+  const Index tiles = (cols + gemm::kNr - 1) / gemm::kNr;
+  gemm::ParallelKernel(tiles, 2 * s.oc * ck2 * gemm::kNr, [&](Index t0,
+                                                              Index t1) {
+    // Per-tile scratch from the thread_local Workspace arena.
+    ScopedVec tile(ck2 * gemm::kNr), ct(s.oc * gemm::kNr), sb(gemm::kNr);
+    nn::AlignedScopedBytes panel(gemm::Int8PanelBytes(ck2, gemm::kNr));
+    for (Index c = t0 * gemm::kNr; c < std::min(cols, t1 * gemm::kNr);
+         c += gemm::kNr) {
+      const Index w = std::min(gemm::kNr, cols - c);
+      gemm::PackTile(stg.data(), s.Taps(), s.Pixels(s.n), c, w, tile.data());
+      gemm::QuantizePackColsInt8(ck2, w, tile.data(), w, panel.data(),
+                                 sb.data());
+      gemm::Int8DotRows(0, s.oc, w, ck2, wq.rows.data(), ck2,
+                        wq.scales.data(), panel.data(), sb.data(),
+                        /*bias_row=*/bias, /*bias_col=*/nullptr, ct.data(), w);
+      nn::ScatterConvCols(s, ct.data(), w, c, c + w, out);
+    }
+  });
+  // LayerNorm reads a per-image copy of the conv output: its output loop
+  // only vectorizes when its input and output do not overlap.
+  gemm::ParallelKernel(s.n, 8 * out_img, [&](Index n0, Index n1) {
+    ScopedVec pre(out_img), xhat(out_img);
     float inv_sigma = 0.0f;
     for (Index img = n0; img < n1; ++img) {
-      nn::Im2Col(s, in + img * in_img, cols.data());
-      gemm::QuantizePackColsInt8(ck2, ohow, cols.data(), ohow, panel.data(),
-                                 col_scales.data());
-      gemm::Int8DotRows(0, s.oc, ohow, ck2, wq.rows.data(), ck2,
-                        wq.scales.data(), panel.data(), col_scales.data(),
-                        /*bias_row=*/bias, /*bias_col=*/nullptr, pre.data(),
-                        ohow);
       float* o = out + img * out_img;
-      nn::LayerNormBody(1, out_img, nn::kLayerNormEps, pre.data(), ln_g, ln_b,
-                        o, xhat.data(), &inv_sigma);
+      std::copy(o, o + out_img, pre.data());
+      nn::LayerNormBody(1, out_img, nn::kLayerNormEps, pre.data(), ln_g,
+                        ln_b, o, xhat.data(), &inv_sigma);
       for (Index j = 0; j < out_img; ++j) o[j] = std::max(0.0f, o[j]);
     }
   });
-}
-
-/// xW + b through the pre-packed int8 panel: quantize activation rows, run
-/// the prepacked kernel with the layer bias on the column side.
-void QuantLinear(Index m, Index k, Index n, const float* x,
-                 const QuantizedTensor& wq, const float* bias, float* out) {
-  CEWS_CHECK(wq.channels == n && wq.per_channel == k);
-  CEWS_CHECK(!wq.packed.empty());
-  nn::AlignedScopedBytes xq(m * k);
-  ScopedVec sx(m);
-  gemm::QuantizeRowsInt8(m, k, x, k, xq.data(), sx.data());
-  gemm::Int8GemmPrepacked(m, n, k, xq.data(), k, sx.data(), wq.packed.data(),
-                          wq.scales.data(), /*bias_row=*/nullptr,
-                          /*bias_col=*/bias, out, n);
-}
-
-/// fp32 xW + b on dense weights for the heads: every output row starts at
-/// the bias, then the shared packed GEMM accumulates xW into it.
-void DenseLinear(Index m, Index k, Index n, const float* x, const float* w,
-                 const float* bias, float* out) {
-  for (Index i = 0; i < m; ++i) std::copy(bias, bias + n, out + i * n);
-  gemm::GemmNN(m, n, k, x, /*rsa=*/k, /*csa=*/1, w, /*ldb=*/n, out,
-               /*ldc=*/n);
 }
 
 }  // namespace
@@ -96,7 +80,23 @@ nn::quant::QuantizedParams QuantizePolicyParams(
   // dense fp32.
   std::vector<uint8_t> flags(params.size(), 0);
   flags[0] = flags[4] = flags[8] = flags[12] = 1;
-  return nn::quant::QuantizeParams(params, &flags);
+  QuantizedParams qp = nn::quant::QuantizeParams(params, &flags);
+  // The three heads side by side as one [feature_dim, n_move + n_charge +
+  // 1] matrix, packed once into an NN panel, and their concatenated bias.
+  nn::NoGradGuard no_grad;
+  const nn::Tensor w = nn::Concat(nn::Concat(params[14], params[16]),
+                                  params[18]);
+  const nn::Tensor bias = nn::Concat(nn::Concat(params[15], params[17]),
+                                     params[19]);
+  const Index k = w.dim(0), n = w.dim(1);
+  qp.head_panel.resize(static_cast<size_t>(k * n));
+  for (Index c0 = 0; c0 < n; c0 += gemm::kNr) {
+    gemm::PackTile(w.data(), gemm::Walk{{1, 1, k}, {0, 0, n}},
+                   gemm::Walk{{1, 1, n}, {0, 0, 1}}, c0,
+                   std::min(gemm::kNr, n - c0), qp.head_panel.data() + k * c0);
+  }
+  qp.head_bias.assign(bias.data(), bias.data() + n);
+  return qp;
 }
 
 QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
@@ -138,27 +138,45 @@ QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
   ConvLnReluStage(stage3, quantized(8), dense(9), dense(10), dense(11),
                   act2.data(), act3.data());
 
-  // Trunk FC + ReLU. act3 is already the flattened [b, flat] matrix.
-  ScopedVec feature(b * feat);
-  QuantLinear(b, flat, feat, act3.data(), quantized(12), dense(13),
-              feature.data());
+  // Trunk FC + ReLU on the pre-packed int8 panel: the rows of act3 (already
+  // the flattened [b, flat] matrix) are quantized, the bias is per column.
+  const QuantizedTensor& fc = quantized(12);
+  CEWS_CHECK(fc.channels == feat && fc.per_channel == flat);
+  nn::AlignedScopedBytes xq(b * flat);
+  ScopedVec sx(b), feature(b * feat);
+  gemm::QuantizeRowsInt8(b, flat, act3.data(), flat, xq.data(), sx.data());
+  gemm::Int8GemmPrepacked(b, feat, flat, xq.data(), flat, sx.data(),
+                          fc.packed.data(), fc.scales.data(),
+                          /*bias_row=*/nullptr, /*bias_col=*/dense(13),
+                          feature.data(), feat);
   for (Index i = 0; i < b * feat; ++i) {
     feature.data()[i] = std::max(0.0f, feature.data()[i]);
   }
 
-  // Heads run fp32 on their dense weights (see QuantizePolicyParams): they
-  // are a sliver of the forward cost and own the argmax decision, so the
-  // only int8 error reaching the logits is the trunk's feature perturbation.
+  // Heads run fp32 (see QuantizePolicyParams): they are a sliver of the
+  // forward cost and own the argmax decision, so the only int8 error
+  // reaching the logits is the trunk's feature perturbation. C starts at the
+  // concatenated bias; one NNRows sweep over the quantize-time panel fixes
+  // each element's fmaf order, so splitting C gives the per-head products.
+  const Index n_heads = n_move + n_charge + 1;
+  CEWS_CHECK_EQ(static_cast<Index>(qp.head_bias.size()), n_heads);
+  ScopedVec heads(b * n_heads);
+  for (Index i = 0; i < b; ++i) {
+    std::copy(qp.head_bias.begin(), qp.head_bias.end(),
+              heads.data() + i * n_heads);
+  }
+  gemm::ParallelKernel(b, 2 * feat * n_heads, [&](Index r0, Index r1) {
+    gemm::NNRows(r0, r1, n_heads, feat, feature.data(), feat, 1,
+                 qp.head_panel.data(), heads.data(), n_heads);
+  });
   QuantPolicyOutput out;
-  out.move_logits.resize(static_cast<size_t>(b * n_move));
-  out.charge_logits.resize(static_cast<size_t>(b * n_charge));
-  out.value.resize(static_cast<size_t>(b));
-  DenseLinear(b, feat, n_move, feature.data(), dense(14), dense(15),
-              out.move_logits.data());
-  DenseLinear(b, feat, n_charge, feature.data(), dense(16), dense(17),
-              out.charge_logits.data());
-  DenseLinear(b, feat, 1, feature.data(), dense(18), dense(19),
-              out.value.data());
+  for (Index i = 0; i < b; ++i) {
+    const float* row = heads.data() + i * n_heads;
+    out.move_logits.insert(out.move_logits.end(), row, row + n_move);
+    out.charge_logits.insert(out.charge_logits.end(), row + n_move,
+                             row + n_move + n_charge);
+    out.value.push_back(row[n_heads - 1]);
+  }
   return out;
 }
 

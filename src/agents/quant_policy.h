@@ -2,31 +2,29 @@
 //
 // QuantPolicyForward replays PolicyNet::Forward's layer sequence
 // (conv3x3-LN-ReLU x3 -> flatten -> FC-ReLU -> three linear heads) against
-// a publish-time nn::quant::QuantizedParams bundle instead of fp32 tensors.
-// It owns only the int8 parts: the trunk's GEMM-shaped products (conv
-// im2col forward, trunk FC) run on the packed int8 kernels
-// (nn/gemm_int8.h) with per-output-channel weight scales, dynamic per-row
-// activation scales (per im2col column for convs), int32 accumulation and
-// fp32 dequantize + bias on output. Everything else is the fp32 path's own
-// code: the conv geometry (CnnTrunkConfig::ConvStage), nn::Im2Col (the
-// plain unfold; fp32 Conv2d gathers panels from a staging copy),
-// nn::LayerNormBody (LayerNorm and ReLU stay fp32 — O(n) epilogues whose
-// precision anchors the activation statistics the next quantization step
-// depends on), and the packed fp32 GEMM for the heads.
+// a publish-time nn::quant::QuantizedParams bundle. It owns only the int8
+// parts; the rest is the fp32 path's own code. Each conv stages the batch
+// with Conv2d's nn::StageConvInput, and each 32-column tile of the batch's
+// column matrix is gathered by gemm::PackTile, quantized per column (one
+// scale per output pixel) into a tile-sized int8 panel, multiplied by the
+// per-output-channel int8 weight (nn/gemm_int8.h) with int32 accumulation
+// and fp32 dequantize + bias, and scattered to NCHW. nn::LayerNormBody and
+// ReLU stay fp32 per image: O(n) epilogues whose precision anchors the
+// statistics the next quantization step depends on. The trunk FC runs on a
+// pre-packed int8 panel; the three fp32 heads run as one gemm::NNRows sweep
+// over a panel packed once at quantize time.
 //
-// The bundle is immutable and shared: unlike the fp32 serve path (which
-// copies a snapshot into a private per-worker net on epoch change), int8
-// workers read the snapshot's QuantizedParams in place — hot-swap costs one
-// shared_ptr pin, and a swap can never expose torn weights because a batch
-// is served entirely by the bundle captured at dequeue time.
+// The bundle is immutable and shared: int8 workers read the snapshot's
+// QuantizedParams in place, so hot-swap costs one shared_ptr pin and a
+// batch is served entirely by the bundle captured at dequeue time.
 //
-// Correctness is gated behaviorally, not bitwise: ActionAgreement* compares
-// the quantized policy's deterministic decisions (per worker, move and
-// charge head, through agents::DecideFromLogits) against the fp32 net's
-// over a state set, and serving requires the match
-// rate to clear a configured threshold (>= 99% over the scenario suite;
-// tests/serve_quant_test.cc, the deploy loop's eval gate, and the
-// `cews serve --precision int8` startup check all enforce it).
+// Correctness is gated behaviorally: ActionAgreement* compares the
+// quantized policy's deterministic decisions (per worker, move and charge,
+// through agents::DecideFromLogits) against the fp32 net's over a state
+// set, and serving requires >= 99% agreement (tests/serve_quant_test.cc,
+// the deploy loop's eval gate and `cews serve --precision int8` enforce
+// it). The outputs themselves are bitwise fixed: an instance's bits do not
+// depend on the batch around it or on the thread count.
 #ifndef CEWS_AGENTS_QUANT_POLICY_H_
 #define CEWS_AGENTS_QUANT_POLICY_H_
 
@@ -49,10 +47,10 @@ struct QuantPolicyOutput {
 /// Builds the policy's serving bundle: the serve-hot GEMM weights — the
 /// three conv kernels and the trunk FC, which dominate forward cost — are
 /// quantized per output channel; the head weights (move/charge/value) stay
-/// dense fp32. The heads are tiny (n = W*moves, W*2, 1: a few percent of
-/// forward FLOPs) and sit directly on the argmax decision, so quantizing
-/// them buys nothing and costs agreement. `params` must be in
-/// PolicyNet::Parameters() order (20 tensors, CHECKed).
+/// fp32, packed side by side into one panel (head_panel, head_bias). The
+/// heads are a few percent of forward FLOPs and sit directly on the argmax
+/// decision, so quantizing them buys nothing and costs agreement. `params`
+/// must be in PolicyNet::Parameters() order (20 tensors, CHECKed).
 nn::quant::QuantizedParams QuantizePolicyParams(
     const std::vector<nn::Tensor>& params);
 
@@ -60,8 +58,8 @@ nn::quant::QuantizedParams QuantizePolicyParams(
 /// grid * grid floats, the SamplePolicyBatch layout). `qp` must have been
 /// built by QuantizePolicyParams from a parameter list in
 /// PolicyNet::Parameters() order for this architecture (CHECKed).
-/// Deterministic at any thread count: integer accumulation plus per-image
-/// fp epilogues, both partition-invariant.
+/// Deterministic at any thread count and batch size: per-column scales,
+/// integer accumulation and per-image fp epilogues.
 QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
                                      const nn::quant::QuantizedParams& qp,
                                      const float* states, int batch);

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -49,6 +52,18 @@ inline double JainFairness(const std::vector<double>& x) {
   }
   if (sq <= 0.0) return 0.0;
   return (sum * sum) / (static_cast<double>(x.size()) * sq);
+}
+
+/// True when none of the n values is NaN or +-Inf (all exponent bits set).
+/// Branch-free so it vectorizes: the server runs it on every request.
+inline bool AllFinite(const float* values, size_t n) {
+  uint32_t non_finite = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, values + i, sizeof(bits));
+    non_finite |= static_cast<uint32_t>((bits & 0x7f800000u) == 0x7f800000u);
+  }
+  return non_finite == 0;
 }
 
 /// True when |a - b| <= atol + rtol * |b|.

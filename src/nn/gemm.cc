@@ -2,6 +2,10 @@
 
 #include <cmath>
 
+#ifdef __AVX512F__
+#include <immintrin.h>
+#endif
+
 #include "common/stopwatch.h"
 #include "nn/workspace.h"
 #include "obs/metrics.h"
@@ -42,6 +46,21 @@ void PackTile(const float* src, const Walk& rows, const Walk& cols, Index c0,
     cb = 0;
     ++ca;
   }
+#ifdef __AVX512F__
+  // Non-adjacent columns are gathered 16 lanes at a time on 32-bit offsets;
+  // a tile whose offsets do not fit in int32_t keeps the scalar loop.
+  alignas(64) int32_t off[kNr] = {};
+  bool gather = !adjacent;
+  for (Index t = 0; gather && t < w; ++t) {
+    off[t] = static_cast<int32_t>(col[t]);
+    gather = gather && off[t] == col[t];
+  }
+  const __m512i off_lo = _mm512_load_si512(off);
+  const __m512i off_hi = _mm512_load_si512(off + 16);
+  const Index w_hi = std::max<Index>(w - 16, 0);
+  const auto m_lo = static_cast<__mmask16>((1u << (w - w_hi)) - 1);
+  const auto m_hi = static_cast<__mmask16>((1u << w_hi) - 1);
+#endif
   for (Index a = 0; a < rows.n[0]; ++a) {
     for (Index b = 0; b < rows.n[1]; ++b) {
       const float* base = src + a * rows.s[0] + b * rows.s[1];
@@ -50,9 +69,21 @@ void PackTile(const float* src, const Walk& rows, const Walk& cols, Index c0,
         if (adjacent) {
           const float* from = row + col[0];
           for (Index t = 0; t < w; ++t) tile[t] = from[t];
-        } else {
-          for (Index t = 0; t < w; ++t) tile[t] = row[col[t]];
+          continue;
         }
+#ifdef __AVX512F__
+        if (gather) {
+          const __m512 zero = _mm512_setzero_ps();
+          _mm512_mask_storeu_ps(
+              tile, m_lo,
+              _mm512_mask_i32gather_ps(zero, m_lo, off_lo, row, 4));
+          _mm512_mask_storeu_ps(
+              tile + 16, m_hi,
+              _mm512_mask_i32gather_ps(zero, m_hi, off_hi, row, 4));
+          continue;
+        }
+#endif
+        for (Index t = 0; t < w; ++t) tile[t] = row[col[t]];
       }
     }
   }

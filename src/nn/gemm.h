@@ -95,7 +95,9 @@ struct Walk {
 /// The panel writer: writes the tile of operand columns [c0, c0 + w),
 /// w <= kNr, of B[l, j] = src[(offset of row l) + (offset of column j)]
 /// (tile[l*w + t] = B[l, c0 + t]). A tile whose columns are adjacent in src
-/// is copied row by row; any other is gathered.
+/// is copied row by row; any other is gathered, with two masked 16-lane
+/// vector gathers per row on AVX-512 builds (scalar elsewhere, or when a
+/// column offset does not fit in int32_t). Either way it only copies.
 void PackTile(const float* src, const Walk& rows, const Walk& cols, Index c0,
               Index w, float* tile);
 

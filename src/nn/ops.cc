@@ -782,33 +782,6 @@ Tensor GatherLastDim(const Tensor& x,
   return GatherLastDimImpl(x, std::move(idx));
 }
 
-void Im2Col(const ConvShape& s, const float* img, float* cols) {
-  for (Index ic = 0; ic < s.c; ++ic) {
-    const float* plane = img + ic * s.h * s.w;
-    for (Index ky = 0; ky < s.kh; ++ky) {
-      for (Index kx = 0; kx < s.kw; ++kx) {
-        float* row =
-            cols + ((ic * s.kh + ky) * s.kw + kx) * s.ohow();
-        for (Index y = 0; y < s.oh; ++y) {
-          const Index iy = y * s.stride - s.padding + ky;
-          float* dst = row + y * s.ow;
-          if (iy < 0 || iy >= s.h) {
-            std::fill(dst, dst + s.ow, 0.0f);
-            continue;
-          }
-          const float* src = plane + iy * s.w;
-          for (Index x = 0; x < s.ow; ++x) {
-            const Index ixp = x * s.stride - s.padding + kx;
-            dst[x] = (ixp < 0 || ixp >= s.w) ? 0.0f : src[ixp];
-          }
-        }
-      }
-    }
-  }
-}
-
-namespace {
-
 // Conv2d lowering. The batch is copied once into a zero-padded staging
 // layout [n, c, hp, wp]; every im2col entry is then one load at tap offset
 // + pixel offset with no bounds test, so the GEMM panels are gathered
@@ -821,31 +794,33 @@ namespace {
 // images or 32-column tiles, each with a fixed output, so results are
 // bitwise identical at any thread count.
 
-Index Hp(const ConvShape& s) { return s.h + 2 * s.padding; }
-Index Wp(const ConvShape& s) { return s.w + 2 * s.padding; }
-Index StagedImage(const ConvShape& s) { return s.c * Hp(s) * Wp(s); }
-
-/// Patch rows l = (ic, ky, kx) of the column matrix, as staging offsets.
-Walk Taps(const ConvShape& s) {
-  return {{s.c, s.kh, s.kw}, {Hp(s) * Wp(s), Wp(s), 1}};
+void StageConvInput(const ConvShape& s, const float* x, float* stg) {
+  const Index hp = s.hp(), wp = s.wp(), staged = s.staged_image();
+  ParallelKernel(s.n, staged, [&](Index n0, Index n1) {
+    std::fill(stg + n0 * staged, stg + n1 * staged, 0.0f);
+    for (Index row = n0 * s.c * s.h; row < n1 * s.c * s.h; ++row) {
+      std::copy(x + row * s.w, x + (row + 1) * s.w,
+                stg + (row / s.h * hp + row % s.h + s.padding) * wp +
+                    s.padding);
+    }
+  });
 }
 
-/// Output pixels (image, y, x) of `images` images, as staging offsets of
-/// their first tap.
-Walk Pixels(const ConvShape& s, Index images) {
-  return {{images, s.oh, s.ow},
-          {StagedImage(s), s.stride * Wp(s), Index{s.stride}}};
-}
-
-/// Copies one [c, h, w] image into the zero-padded [c, hp, wp] layout.
-void StageImage(const ConvShape& s, const float* img, float* padded) {
-  std::fill(padded, padded + StagedImage(s), 0.0f);
-  for (Index row = 0; row < s.c * s.h; ++row) {
-    std::copy(img + row * s.w, img + (row + 1) * s.w,
-              padded + (row / s.h * Hp(s) + row % s.h + s.padding) * Wp(s) +
-                  s.padding);
+void ScatterConvCols(const ConvShape& s, const float* cm, Index ldc, Index c0,
+                     Index c1, float* y) {
+  const Index ohow = s.ohow();
+  for (Index c = c0; c < c1;) {  // one image's run of columns at a time
+    const Index in = c / ohow, q = c % ohow;
+    const Index len = std::min(c1 - c, ohow - q);
+    for (Index io = 0; io < s.oc; ++io) {
+      const float* src = cm + io * ldc + (c - c0);
+      std::copy(src, src + len, y + (in * s.oc + io) * ohow + q);
+    }
+    c += len;
   }
 }
+
+namespace {
 
 /// Output positions [first, second) along one axis whose tap at kernel
 /// offset k lands inside the unpadded input [0, size).
@@ -880,17 +855,13 @@ void ConvForwardBody(const ConvShape& s, const float* px, const float* pw,
                      const float* pbias, const ConvBufs& b, float* po) {
   const Index ck2 = s.ck2(), ohow = s.ohow(), cols = s.n * ohow;
   float* stg = b.stg->data();
-  ParallelKernel(s.n, StagedImage(s), [&](Index n0, Index n1) {
-    for (Index in = n0; in < n1; ++in) {
-      StageImage(s, px + in * s.c * s.h * s.w, stg + in * StagedImage(s));
-    }
-  });
+  StageConvInput(s, px, stg);
   Scratch panel(b.panel, ck2 * cols), cm(b.cm, s.oc * cols);
   const Index tiles = (cols + gemm::kNr - 1) / gemm::kNr;
   ParallelKernel(tiles, 2 * s.oc * ck2 * gemm::kNr, [&](Index t0, Index t1) {
     const Index c0 = t0 * gemm::kNr, c1 = std::min(cols, t1 * gemm::kNr);
     for (Index c = c0; c < c1; c += gemm::kNr) {
-      gemm::PackTile(stg, Taps(s), Pixels(s, s.n), c,
+      gemm::PackTile(stg, s.Taps(), s.Pixels(s.n), c,
                      std::min(gemm::kNr, c1 - c), panel.ptr + ck2 * c);
     }
     for (Index io = 0; io < s.oc; ++io) {
@@ -899,15 +870,7 @@ void ConvForwardBody(const ConvShape& s, const float* px, const float* pw,
     }
     gemm::NNRows(0, s.oc, c1 - c0, ck2, pw, ck2, 1, panel.ptr + ck2 * c0,
                  cm.ptr + c0, cols);
-    for (Index c = c0; c < c1;) {  // one image's run of columns at a time
-      const Index in = c / ohow, q = c % ohow;
-      const Index len = std::min(c1 - c, ohow - q);
-      for (Index io = 0; io < s.oc; ++io) {
-        const float* src = cm.ptr + io * cols + c;
-        std::copy(src, src + len, po + (in * s.oc + io) * ohow + q);
-      }
-      c += len;
-    }
+    ScatterConvCols(s, cm.ptr + c0, cols, c0, c1, po);
   });
 }
 
@@ -941,8 +904,8 @@ void ConvBackwardBody(const ConvShape& s, uint64_t conv_flops, TensorImpl* o,
       ParallelKernel(s.n, ck2 * ohow, [&](Index n0, Index n1) {
         for (Index in = n0; in < n1; ++in) {
           for (Index l0 = 0; l0 < ck2; l0 += gemm::kNr) {
-            gemm::PackTile(b.stg->data() + in * StagedImage(s),
-                           Pixels(s, 1), Taps(s), l0,
+            gemm::PackTile(b.stg->data() + in * s.staged_image(),
+                           s.Pixels(1), s.Taps(), l0,
                            std::min(gemm::kNr, ck2 - l0),
                            packt.ptr + (in * ck2 + l0) * ohow);
           }
@@ -1062,9 +1025,9 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   auto plan = [rec](bool needed, Index n, BufLife life) {
     return rec && needed ? graph::AllocBuf(n, life) : nullptr;
   };
-  b->stg = rec ? plan(true, s.n * StagedImage(s),
+  b->stg = rec ? plan(true, s.n * s.staged_image(),
                       need_dw ? BufLife::kSpan : BufLife::kFwd)
-               : graph::LocalBuf(s.n * StagedImage(s));
+               : graph::LocalBuf(s.n * s.staged_image());
   b->panel = plan(true, ck2 * cols, BufLife::kFwd);
   b->cm = plan(true, s.oc * cols, BufLife::kFwd);
   b->packt = plan(need_dw, ck2 * cols, BufLife::kBwd);

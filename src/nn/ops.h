@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "nn/gemm.h"
 #include "nn/tensor.h"
 
 namespace cews::nn {
@@ -108,14 +109,13 @@ Tensor Huber(const Tensor& x, float delta);
 Tensor HuberLoss(const Tensor& pred, const Tensor& target,
                  float delta = 1.0f);
 
-// The conv geometry, the plain im2col unfold and the raw LayerNorm forward,
-// exposed for the int8 policy executor (agents/quant_policy.h): it unfolds
-// each image with Im2Col (Conv2d itself gathers its GEMM panels from a
-// padded staging copy) and normalizes with the code LayerNormOp runs.
+// The conv geometry, the staged lowering and the raw LayerNorm forward,
+// shared by Conv2d and the int8 policy executor (agents/quant_policy.h).
 
-/// Static geometry of one Conv2d call (im2col formulation). The patch
-/// dimension p = (ic * kh + ky) * kw + kx indexes rows of the column matrix;
-/// the output-pixel dimension q = y * ow + x indexes its columns.
+/// Static geometry of one Conv2d call. The patch dimension p = (ic * kh +
+/// ky) * kw + kx indexes rows of the column matrix [ck2, n * ohow], which
+/// is never materialized; column q = (image * oh + y) * ow + x indexes the
+/// batch's output pixels.
 struct ConvShape {
   Index n, c, h, w;    // input  [N, C, H, W]
   Index oc, kh, kw;    // weight [OC, C, KH, KW]
@@ -123,11 +123,28 @@ struct ConvShape {
   int stride, padding;
   Index ck2() const { return c * kh * kw; }
   Index ohow() const { return oh * ow; }
+  Index hp() const { return h + 2 * padding; }
+  Index wp() const { return w + 2 * padding; }
+  /// Floats of one image in the zero-padded staging layout [c, hp, wp].
+  Index staged_image() const { return c * hp() * wp(); }
+  /// Patch rows l = (ic, ky, kx) of the column matrix, as staging offsets.
+  gemm::Walk Taps() const { return {{c, kh, kw}, {hp() * wp(), wp(), 1}}; }
+  /// Output pixels (image, y, x) of `images` images, as staging offsets of
+  /// their first tap.
+  gemm::Walk Pixels(Index images) const {
+    return {{images, oh, ow}, {staged_image(), stride * wp(), Index{stride}}};
+  }
 };
 
-/// Unfolds one image into its column matrix cols [ck2, ohow]; out-of-bounds
-/// (padding) taps become zeros.
-void Im2Col(const ConvShape& s, const float* img, float* cols);
+/// Copies the batch x [n, c, h, w] into the zero-padded staging layout
+/// [n, c, hp, wp] (n * staged_image() floats). Column-matrix entry (l, q) is
+/// then stg[Taps offset of l + Pixels offset of q], read by gemm::PackTile.
+void StageConvInput(const ConvShape& s, const float* x, float* stg);
+
+/// Copies columns [c0, c1) of a conv output matrix [oc, n * ohow] to NCHW
+/// y. `cm` points at column c0 of output channel 0; rows are ldc apart.
+void ScatterConvCols(const ConvShape& s, const float* cm, Index ldc, Index c0,
+                     Index c1, float* y);
 
 /// One LayerNorm forward sweep over n rows of f features: writes the
 /// normalized-scaled output `po` plus the xhat [n * f] / inv_sigma [n] row

@@ -124,6 +124,10 @@ struct QuantizedParams {
     Shape shape;               ///< Original shape either way.
   };
   std::vector<Entry> entries;
+  /// Optional fp32 NN panel (gemm::PackTile layout, head_bias.size()
+  /// columns) a model packs once at quantize time, with its bias:
+  /// agents::QuantizePolicyParams stores the policy's three heads here.
+  std::vector<float> head_panel, head_bias;
 };
 
 /// Builds the bundle from a parameter list (deep copy; `params` may be

@@ -96,8 +96,9 @@ class Fleet {
   std::future<ScheduleResponse> Submit(ScheduleRequest request);
 
   /// Hot-swaps one scenario's parameters fleet-wide (all shards share the
-  /// registry). NotFound for unknown scenarios; in-flight requests of
-  /// every scenario are unperturbed.
+  /// registry). NotFound for unknown scenarios; InvalidArgument for a
+  /// shape mismatch or a NaN/±Inf value (ModelRegistry::Publish); in-flight
+  /// requests of every scenario are unperturbed.
   Status Publish(const std::string& scenario,
                  const std::vector<nn::Tensor>& params);
 

@@ -5,6 +5,7 @@
 
 #include "agents/quant_policy.h"
 #include "common/check.h"
+#include "common/math_util.h"
 #include "nn/serialize.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -60,6 +61,13 @@ Status ModelRegistry::Publish(const std::vector<nn::Tensor>& params) {
           "Publish: shape mismatch at index " + std::to_string(i) + ", " +
           nn::ShapeToString(params[i].shape()) + " vs " +
           nn::ShapeToString(reference->params[i].shape()));
+    }
+    if (!AllFinite(params[i].data(), static_cast<size_t>(params[i].numel()))) {
+      static obs::Counter* const rejected =
+          obs::GetCounter("serve.rejected_nonfinite_snapshot");
+      rejected->Increment();
+      return Status::InvalidArgument(
+          "Publish: non-finite value in tensor at index " + std::to_string(i));
     }
   }
   // Clone (and quantize) outside the writer lock — only the epoch

@@ -70,9 +70,10 @@ class ModelRegistry {
 
   /// Clones `params` into a fresh snapshot and swaps it in as the current
   /// one. Concurrent publishers are serialized against each other; readers
-  /// are never blocked. Shapes must match the initial set pairwise —
-  /// returns InvalidArgument otherwise, leaving the current snapshot
-  /// untouched.
+  /// are never blocked. Shapes must match the initial set pairwise and
+  /// every value must be finite — returns InvalidArgument otherwise
+  /// (counting a non-finite refusal on serve.rejected_nonfinite_snapshot),
+  /// leaving the current snapshot and epoch untouched.
   Status Publish(const std::vector<nn::Tensor>& params);
 
   /// Loads a checkpoint from disk into a scratch clone of the current

@@ -9,6 +9,7 @@
 #include "agents/eval.h"
 #include "agents/quant_policy.h"
 #include "common/check.h"
+#include "common/math_util.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "nn/params.h"
@@ -24,18 +25,6 @@ namespace {
 /// Per-shard metric names: serve.shard.N.*.
 std::string ShardMetricName(int shard_index, const char* suffix) {
   return "serve.shard." + std::to_string(shard_index) + "." + suffix;
-}
-
-/// True when no value is NaN or ±Inf (all exponent bits set). Branch-free
-/// so it vectorizes: it runs on the submitting thread for every request.
-bool AllFinite(const std::vector<float>& values) {
-  uint32_t non_finite = 0;
-  for (const float v : values) {
-    uint32_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    non_finite |= static_cast<uint32_t>((bits & 0x7f800000u) == 0x7f800000u);
-  }
-  return non_finite == 0;
 }
 
 }  // namespace
@@ -175,7 +164,7 @@ Status PolicyServer::ValidateRequest(const ScheduleRequest& request) const {
         "encoded state has " + std::to_string(request.state.size()) +
         " floats, server expects " + std::to_string(StateSize()));
   }
-  if (!AllFinite(request.state)) {
+  if (!AllFinite(request.state.data(), request.state.size())) {
     static obs::Counter* const rejected_nonfinite =
         obs::GetCounter("serve.rejected_nonfinite");
     rejected_nonfinite->Increment();

@@ -9,6 +9,8 @@
 #include "nn/gemm.h"
 
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -184,6 +186,62 @@ TEST(WorkspaceTest, TrimReleasesRetainedBytes) {
   const Workspace::Stats s0 = Workspace::GlobalStats();
   std::vector<float> v = Workspace::AcquireVec(4096);
   EXPECT_EQ(Workspace::GlobalStats().misses, s0.misses + 1);
+}
+
+/// Offset of flat index `i` in a 3-level walk, by plain division.
+Index WalkOffset(const gemm::Walk& walk, Index i) {
+  return i / (walk.n[1] * walk.n[2]) * walk.s[0] +
+         i / walk.n[2] % walk.n[1] * walk.s[1] + i % walk.n[2] * walk.s[2];
+}
+
+/// A trunk conv stage over a 3-image batch (3x3 kernel, padding 1).
+ConvShape TrunkStage(Index c, Index hw, Index oc, int stride) {
+  ConvShape s;
+  s.n = 3, s.c = c, s.h = s.w = hw;
+  s.oc = oc, s.kh = s.kw = 3;
+  s.stride = stride, s.padding = 1;
+  s.oh = s.ow = (hw + 2 - 3) / stride + 1;
+  return s;
+}
+
+// PackTile's gather (two masked vector gathers per row on AVX-512 builds)
+// must copy exactly the element a scalar read at (row offset + column
+// offset) yields, for every tile width, on the conv walks that gather: the
+// forward panel (taps x pixels) of the quick-scale trunk's stride-1 and
+// stride-2 stages, and the transposed dW panel (pixels x taps).
+TEST(GemmPackedTest, PackTileGatherMatchesScalarReadsAtEveryWidth) {
+  for (const ConvShape& s :
+       {TrunkStage(3, 12, 8, 1), TrunkStage(8, 12, 16, 2),
+        TrunkStage(16, 6, 16, 2)}) {
+    const std::vector<float> stg = RandomData(
+        static_cast<size_t>(s.n * s.staged_image()), 91 + s.c);
+    const std::pair<gemm::Walk, gemm::Walk> walks[] = {
+        {s.Taps(), s.Pixels(s.n)}, {s.Pixels(1), s.Taps()}};
+    for (const auto& [rows, cols] : walks) {
+      const Index k = rows.n[0] * rows.n[1] * rows.n[2];
+      const Index n = cols.n[0] * cols.n[1] * cols.n[2];
+      for (Index w = 1; w <= gemm::kNr; ++w) {
+        for (const Index c0 : {Index{0}, s.ohow() - 1, n - w}) {
+          if (c0 < 0 || c0 + w > n) continue;
+          std::vector<float> tile(static_cast<size_t>(k * w));
+          gemm::PackTile(stg.data(), rows, cols, c0, w, tile.data());
+          std::vector<float> want(tile.size());
+          for (Index l = 0; l < k; ++l) {
+            for (Index t = 0; t < w; ++t) {
+              want[static_cast<size_t>(l * w + t)] =
+                  stg[static_cast<size_t>(WalkOffset(rows, l) +
+                                          WalkOffset(cols, c0 + t))];
+            }
+          }
+          ExpectBitwiseEqual(tile, want,
+                             "stride=" + std::to_string(s.stride) +
+                                 " k=" + std::to_string(k) +
+                                 " w=" + std::to_string(w) +
+                                 " c0=" + std::to_string(c0));
+        }
+      }
+    }
+  }
 }
 
 /// One conv layer of the synthetic step: input, weight, bias and stride.

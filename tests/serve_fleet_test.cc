@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <string>
@@ -18,6 +20,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "nn/params.h"
+#include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "serve/loadgen.h"
 #include "serve/router.h"
@@ -368,6 +371,38 @@ TEST(FleetTest, PublishSwapsOneScenarioWithoutPerturbingAnother) {
   ASSERT_TRUE(epoch_b.ok());
   EXPECT_EQ(epoch_b.value(), 0u);
   EXPECT_FALSE(fleet->Epoch("nope").ok());
+}
+
+TEST(FleetTest, PublishRefusesNonFiniteSnapshots) {
+  std::unique_ptr<Fleet> fleet = MakeFleet(TinyFleet(1));
+  const std::string scenario(ScenarioRegistry::kDefaultScenario);
+  const std::string path = testing::TempDir() + "/nonfinite_snapshot.bin";
+  const uint64_t rejected_before = obs::SnapshotMetrics().CounterValue(
+      "serve.rejected_nonfinite_snapshot");
+  Rng rng(5);
+  const agents::PolicyNet net(TinyNet(), rng);
+  std::vector<nn::Tensor> params = net.Parameters();
+  float& weight = params[0].data()[3];
+  const float finite = weight;
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    weight = bad;
+    const Status direct = fleet->Publish(scenario, params);
+    EXPECT_EQ(direct.code(), StatusCode::kInvalidArgument)
+        << direct.ToString();
+    ASSERT_TRUE(nn::SaveParameters(path, params).ok());
+    const Status from_file = fleet->PublishFromFile(scenario, path);
+    EXPECT_EQ(from_file.code(), StatusCode::kInvalidArgument)
+        << from_file.ToString();
+    EXPECT_EQ(fleet->Epoch(scenario).value(), 0u);
+  }
+  EXPECT_EQ(obs::SnapshotMetrics().CounterValue(
+                "serve.rejected_nonfinite_snapshot"),
+            rejected_before + 4);
+  weight = finite;
+  ASSERT_TRUE(fleet->Publish(scenario, params).ok());
+  EXPECT_EQ(fleet->Epoch(scenario).value(), 1u);
+  std::remove(path.c_str());
 }
 
 TEST(FleetTest, ConcurrentPerScenarioPublishesUnderLoad) {

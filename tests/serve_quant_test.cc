@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -26,6 +27,7 @@
 #include "common/check.h"
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/scenarios.h"
 #include "env/env.h"
 #include "env/state_encoder.h"
@@ -360,6 +362,84 @@ TEST(QuantServeTest, AgreementAtLeast99PercentAcrossScenarioSuite) {
   }
   EXPECT_GE(total.rate(), 0.99)
       << "suite-wide: " << total.matched << "/" << total.decisions;
+}
+
+/// The quick-scale trunk (grid 12): conv3 has ohow = 9, so 32-column tiles
+/// straddle images and a batch's last tile is ragged.
+agents::PolicyNetConfig QuickNet() {
+  agents::PolicyNetConfig net;
+  net.grid = 12;
+  return net;
+}
+
+std::vector<float> RandomStates(const agents::PolicyNetConfig& cfg,
+                                int batch, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> states(static_cast<size_t>(
+      batch * cfg.in_channels * cfg.grid * cfg.grid));
+  for (float& x : states) x = static_cast<float>(rng.Uniform());
+  return states;
+}
+
+/// True when out[first, first + n) holds exactly the bits of `part`.
+bool SameBits(const std::vector<float>& out, size_t first,
+              const std::vector<float>& part) {
+  return first + part.size() <= out.size() &&
+         std::memcmp(out.data() + first, part.data(),
+                     part.size() * sizeof(float)) == 0;
+}
+
+TEST(QuantServeTest, Int8ForwardIsBatchInvariant) {
+  for (const agents::PolicyNetConfig& cfg :
+       {TinyNet(), QuickNet(), agents::PolicyNetConfig{}}) {
+    const std::unique_ptr<agents::PolicyNet> net = DecisiveNet(cfg, 4244);
+    const nn::quant::QuantizedParams qp =
+        agents::QuantizePolicyParams(net->Parameters());
+    const size_t state_size =
+        static_cast<size_t>(cfg.in_channels * cfg.grid * cfg.grid);
+    const size_t n_move = static_cast<size_t>(cfg.num_workers * cfg.num_moves);
+    const size_t n_charge = static_cast<size_t>(cfg.num_workers * 2);
+    for (const int batch : {2, 5, 11, 17}) {
+      SCOPED_TRACE("grid " + std::to_string(cfg.grid) + ", batch " +
+                   std::to_string(batch));
+      const std::vector<float> states = RandomStates(cfg, batch, 80 + batch);
+      const agents::QuantPolicyOutput stacked =
+          agents::QuantPolicyForward(cfg, qp, states.data(), batch);
+      for (size_t i = 0; i < static_cast<size_t>(batch); ++i) {
+        const agents::QuantPolicyOutput single = agents::QuantPolicyForward(
+            cfg, qp, states.data() + i * state_size, 1);
+        EXPECT_TRUE(SameBits(stacked.move_logits, i * n_move,
+                             single.move_logits)) << "instance " << i;
+        EXPECT_TRUE(SameBits(stacked.charge_logits, i * n_charge,
+                             single.charge_logits)) << "instance " << i;
+        EXPECT_TRUE(SameBits(stacked.value, i, single.value))
+            << "instance " << i;
+      }
+    }
+  }
+}
+
+TEST(QuantServeTest, Int8ForwardIsThreadInvariant) {
+  constexpr int kBatch = 16;
+  const int threads_before = runtime::GlobalPoolThreads();
+  for (const agents::PolicyNetConfig& cfg :
+       {TinyNet(), QuickNet(), agents::PolicyNetConfig{}}) {
+    SCOPED_TRACE("grid " + std::to_string(cfg.grid));
+    const std::unique_ptr<agents::PolicyNet> net = DecisiveNet(cfg, 4245);
+    const nn::quant::QuantizedParams qp =
+        agents::QuantizePolicyParams(net->Parameters());
+    const std::vector<float> states = RandomStates(cfg, kBatch, 81);
+    runtime::SetGlobalPoolThreads(1);
+    const agents::QuantPolicyOutput one =
+        agents::QuantPolicyForward(cfg, qp, states.data(), kBatch);
+    runtime::SetGlobalPoolThreads(4);
+    const agents::QuantPolicyOutput four =
+        agents::QuantPolicyForward(cfg, qp, states.data(), kBatch);
+    runtime::SetGlobalPoolThreads(threads_before);
+    EXPECT_TRUE(SameBits(four.move_logits, 0, one.move_logits));
+    EXPECT_TRUE(SameBits(four.charge_logits, 0, one.charge_logits));
+    EXPECT_TRUE(SameBits(four.value, 0, one.value));
+  }
 }
 
 TEST(QuantServeTest, Int8ForwardMatchesPinnedCrcTinyNet) {

@@ -10,7 +10,8 @@
 #      the nn op/gradient/conv/graph/serialization, obs, serve and dist
 #      tests, int8 quantization included;
 #   5. pinned hashes: both trainers' golden final parameters (at 1 to 4
-#      in-process employees), the int8 forward's and Conv2d's CRC pins;
+#      in-process employees), the int8 forward's and Conv2d's CRC pins, and
+#      the int8 forward's batch and thread invariance;
 #   6. a multi-process train-dist smoke that must drive the publish gate
 #      through a reject-then-accept sequence into a live fleet;
 #   7. an int8 serve smoke on that trained snapshot, whose startup
@@ -119,8 +120,10 @@ echo "== graph + dist + int8: pinned-hash guard =="
 # end on its own pinned hashes in each intrinsic mode (the two trainers
 # share their cores, so these catch drift the dist equivalence test cannot
 # see). The int8 serving forward must end on its pinned output CRCs at
-# batch 1 and 16, since it shares the trunk's conv geometry, LayerNorm and
-# GEMM code. Conv2d's forward output and dx/dW/db must end on their pinned
+# batch 1 and 16, since it shares the trunk's conv geometry, staging,
+# LayerNorm and GEMM code, and each instance's outputs must not depend on
+# the batch around it (its column tiles straddle images) or on the pool
+# width. Conv2d's forward output and dx/dW/db must end on their pinned
 # CRCs for the trunk stages and the non-trunk geometries, eager and
 # compiled, at pool widths 1 and 4. Runs in the plain build so a
 # regression fails the check even when both sanitizer passes are skipped.
@@ -130,7 +133,7 @@ echo "== graph + dist + int8: pinned-hash guard =="
   --gtest_filter='*SummedGradientsRepeatAtAnyEmployeeCount*'
 "$repo/build/tests/dist_trainer_equivalence_test" \
   --gtest_filter='*PinnedHash*'
-"$repo/build/tests/serve_quant_test" --gtest_filter='*Pinned*'
+"$repo/build/tests/serve_quant_test" --gtest_filter='*Pinned*:*Invariant*'
 "$repo/build/tests/nn_conv_test"
 
 echo "== dist: multi-process train-dist + publish-gate smoke =="

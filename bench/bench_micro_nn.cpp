@@ -192,16 +192,36 @@ void BM_SoftmaxLastDim(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxLastDim);
 
+// The quick-scale trunk's LayerNorm rows (f = 4*12*12, 6*6*6, 6*3*3) at
+// acting, serving and minibatch batch sizes; backward=1 adds the backward
+// of sum(y * r) to each iteration.
 void BM_LayerNorm(benchmark::State& state) {
+  const nn::Index b = state.range(0), f = state.range(1);
+  const bool backward = state.range(2) != 0;
   Rng rng(5);
-  nn::LayerNorm ln(512);
-  nn::Tensor x = nn::Tensor::Zeros({16, 512});
-  nn::NoGradGuard no_grad;
+  auto random = [&rng](nn::Index n) {
+    std::vector<float> v(static_cast<size_t>(n));
+    for (float& x : v) x = static_cast<float>(rng.Uniform(-1, 1));
+    return v;
+  };
+  nn::LayerNorm ln(f);
+  nn::Tensor x = nn::Tensor::FromData({b, f}, random(b * f), backward);
+  const nn::Tensor r = nn::Tensor::FromData({b, f}, random(b * f));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ln.Forward(x));
+    if (backward) {
+      nn::Tensor loss = nn::Sum(nn::Mul(ln.Forward(x), r));
+      loss.Backward();
+      benchmark::DoNotOptimize(loss.item());
+    } else {
+      nn::NoGradGuard no_grad;
+      benchmark::DoNotOptimize(ln.Forward(x));
+    }
   }
+  state.SetItemsProcessed(state.iterations() * b);
 }
-BENCHMARK(BM_LayerNorm);
+BENCHMARK(BM_LayerNorm)
+    ->ArgNames({"batch", "f", "backward"})
+    ->ArgsProduct({{1, 11, 64}, {54, 216, 576}, {0, 1}});
 
 agents::PolicyNetConfig BenchNet(int grid) {
   agents::PolicyNetConfig config;

@@ -27,9 +27,10 @@ namespace gemm = nn::gemm;
 /// the [ck2, n*ohow] column matrix is gathered (gemm::PackTile), quantized
 /// per column into a tile-sized int8 panel, multiplied by the quantized
 /// conv weight (Int8DotRows) and scattered to NCHW. nn::LayerNormBody and
-/// ReLU then run per image. A column's scale depends only on that column
-/// and int32 accumulation is exact, so every output bit is independent of
-/// the tiling, the batch size and the thread count.
+/// ReLU then run one row group of images at a time. A column's scale
+/// depends only on that column, int32 accumulation is exact and a
+/// LayerNorm row's bits do not depend on its group, so every output bit is
+/// independent of the tiling, the batch size and the thread count.
 void ConvLnReluStage(const nn::ConvShape& s, const QuantizedTensor& wq,
                      const float* bias, const float* ln_g, const float* ln_b,
                      const float* in, float* out) {
@@ -55,17 +56,20 @@ void ConvLnReluStage(const nn::ConvShape& s, const QuantizedTensor& wq,
       nn::ScatterConvCols(s, ct.data(), w, c, c + w, out);
     }
   });
-  // LayerNorm reads a per-image copy of the conv output: its output loop
-  // only vectorizes when its input and output do not overlap.
+  // LayerNorm reads a copy of one row group of images at a time: its
+  // output may not overlap its input, and one group is all its row
+  // statistics run side by side (bounded scratch, whatever the batch).
   gemm::ParallelKernel(s.n, 8 * out_img, [&](Index n0, Index n1) {
-    ScopedVec pre(out_img), xhat(out_img);
-    float inv_sigma = 0.0f;
-    for (Index img = n0; img < n1; ++img) {
+    const Index group = std::min<Index>(nn::kLayerNormRowGroup, n1 - n0);
+    ScopedVec pre(group * out_img), xhat(group * out_img);
+    float inv_sigma[nn::kLayerNormRowGroup];
+    for (Index img = n0; img < n1; img += group) {
+      const Index rows = std::min(group, n1 - img);
       float* o = out + img * out_img;
-      std::copy(o, o + out_img, pre.data());
-      nn::LayerNormBody(1, out_img, nn::kLayerNormEps, pre.data(), ln_g,
-                        ln_b, o, xhat.data(), &inv_sigma);
-      for (Index j = 0; j < out_img; ++j) o[j] = std::max(0.0f, o[j]);
+      std::copy(o, o + rows * out_img, pre.data());
+      nn::LayerNormBody(rows, out_img, nn::kLayerNormEps, pre.data(), ln_g,
+                        ln_b, o, xhat.data(), inv_sigma);
+      for (Index j = 0; j < rows * out_img; ++j) o[j] = std::max(0.0f, o[j]);
     }
   });
 }
@@ -76,8 +80,8 @@ nn::quant::QuantizedParams QuantizePolicyParams(
     const std::vector<nn::Tensor>& params) {
   CEWS_CHECK_EQ(params.size(), 20u);
   // Quantize exactly the serve-hot GEMM weights: conv1/conv2/conv3 kernels
-  // and the trunk FC. Heads (indices 14, 16, 18), biases and LN params stay
-  // dense fp32.
+  // and the trunk FC. Trunk biases and LN params stay dense fp32; the heads
+  // (indices 14..19) live only in the fp32 head panel and bias below.
   std::vector<uint8_t> flags(params.size(), 0);
   flags[0] = flags[4] = flags[8] = flags[12] = 1;
   QuantizedParams qp = nn::quant::QuantizeParams(params, &flags);
@@ -96,6 +100,9 @@ nn::quant::QuantizedParams QuantizePolicyParams(
                    std::min(gemm::kNr, n - c0), qp.head_panel.data() + k * c0);
   }
   qp.head_bias.assign(bias.data(), bias.data() + n);
+  for (size_t i = 14; i < 20; ++i) {
+    std::vector<float>().swap(qp.entries[i].dense);
+  }
   return qp;
 }
 

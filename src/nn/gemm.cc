@@ -1,6 +1,7 @@
 #include "nn/gemm.h"
 
 #include <cmath>
+#include <type_traits>
 
 #ifdef __AVX512F__
 #include <immintrin.h>
@@ -89,13 +90,135 @@ void PackTile(const float* src, const Walk& rows, const Walk& cols, Index c0,
   }
 }
 
-void NNRows(Index i0, Index i1, Index n, Index k, const float* a, Index rsa,
-            Index csa, const float* packed, float* c, Index ldc) {
+namespace {
+
+#ifdef __AVX512F__
+/// Lane masks of the two 16-lane halves of a tile w <= kNr columns wide.
+struct TileLanes {
+  explicit TileLanes(Index w)
+      : m{static_cast<__mmask16>((1u << std::min<Index>(w, 16)) - 1),
+          static_cast<__mmask16>((1u << std::max<Index>(w - 16, 0)) - 1)} {}
+  __mmask16 m[2];
+};
+
+/// Runs fn(rows, halves) with both as compile-time constants: rows in
+/// 1..kMr, halves 1 for tiles up to 16 columns wide and 2 above.
+template <typename Fn>
+void WithBlockShape(Index rows, Index w, Fn&& fn) {
+  auto by_rows = [&](auto halves) {
+    switch (rows) {
+      case 1: return fn(std::integral_constant<int, 1>{}, halves);
+      case 2: return fn(std::integral_constant<int, 2>{}, halves);
+      case 3: return fn(std::integral_constant<int, 3>{}, halves);
+      default: return fn(std::integral_constant<int, 4>{}, halves);
+    }
+  };
+  if (w > 16) return by_rows(std::integral_constant<int, 2>{});
+  by_rows(std::integral_constant<int, 1>{});
+}
+
+/// NN register block: R rows of C (ldc apart) by the H 16-lane halves of
+/// one tile, over reduction rows [l0, l1) of the panel p (rows ldp apart).
+/// C is loaded, each lane runs fmaf l ascending and C is stored back;
+/// masked-off lanes are never stored.
+template <int R, int H>
+void NNBlock(Index l0, Index l1, const float* a, Index rsa, Index csa,
+             const float* p, Index ldp, TileLanes lanes, float* c,
+             Index ldc) {
+  __m512 acc[R][H];
+  #pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    #pragma GCC unroll 4
+    for (int h = 0; h < H; ++h) {
+      acc[r][h] = _mm512_maskz_loadu_ps(lanes.m[h], c + r * ldc + 16 * h);
+    }
+  }
+  for (Index l = l0; l < l1; ++l) {
+    __m512 pv[H];
+    #pragma GCC unroll 4
+    for (int h = 0; h < H; ++h) {
+      pv[h] = _mm512_maskz_loadu_ps(lanes.m[h], p + l * ldp + 16 * h);
+    }
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * rsa + l * csa]);
+      #pragma GCC unroll 4
+      for (int h = 0; h < H; ++h) {
+        acc[r][h] = _mm512_fmadd_ps(av, pv[h], acc[r][h]);
+      }
+    }
+  }
+  #pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    #pragma GCC unroll 4
+    for (int h = 0; h < H; ++h) {
+      _mm512_mask_storeu_ps(c + r * ldc + 16 * h, lanes.m[h], acc[r][h]);
+    }
+  }
+}
+
+/// NT register block: R rows of X (ldx apart) against the H halves of one
+/// k-row panel tile. Each lane is a fresh accumulator filled j ascending
+/// and added to C once.
+template <int R, int H>
+void NTBlock(Index k, const float* x, Index ldx, const float* p, Index ldp,
+             TileLanes lanes, float* c, Index ldc) {
+  __m512 acc[R][H];
+  #pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    #pragma GCC unroll 4
+    for (int h = 0; h < H; ++h) acc[r][h] = _mm512_setzero_ps();
+  }
+  for (Index j = 0; j < k; ++j) {
+    __m512 pv[H];
+    #pragma GCC unroll 4
+    for (int h = 0; h < H; ++h) {
+      pv[h] = _mm512_maskz_loadu_ps(lanes.m[h], p + j * ldp + 16 * h);
+    }
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m512 xv = _mm512_set1_ps(x[r * ldx + j]);
+      #pragma GCC unroll 4
+      for (int h = 0; h < H; ++h) {
+        acc[r][h] = _mm512_fmadd_ps(xv, pv[h], acc[r][h]);
+      }
+    }
+  }
+  #pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    #pragma GCC unroll 4
+    for (int h = 0; h < H; ++h) {
+      float* crow = c + r * ldc + 16 * h;
+      _mm512_mask_storeu_ps(
+          crow, lanes.m[h],
+          _mm512_add_ps(_mm512_maskz_loadu_ps(lanes.m[h], crow), acc[r][h]));
+    }
+  }
+}
+#endif
+
+/// NNRows over B read either from a packed panel (ldb == 0: tile c0 at
+/// k*c0, rows w apart) or in place (tile c0 at b + c0, rows ldb apart).
+void NNTiles(Index i0, Index i1, Index n, Index k, const float* a, Index rsa,
+             Index csa, const float* b, Index ldb, float* c, Index ldc) {
   for (Index l0 = 0; l0 < k; l0 += kKc) {
     const Index l1 = std::min(k, l0 + kKc);
     for (Index c0 = 0; c0 < n; c0 += kNr) {
       const Index w = std::min<Index>(kNr, n - c0);
-      const float* tile = packed + k * c0;
+      const float* tile = ldb == 0 ? b + k * c0 : b + c0;
+      const Index ldp = ldb == 0 ? w : ldb;
+#ifdef __AVX512F__
+      // Every row block, full or not, keeps C in registers for the whole
+      // l0..l1 slab; the slab (at most 16 KiB packed) stays L1-resident
+      // across the row loop.
+      const TileLanes lanes(w);
+      for (Index i = i0; i < i1; i += kMr) {
+        WithBlockShape(std::min(kMr, i1 - i), w, [&](auto rows, auto halves) {
+          NNBlock<rows, halves>(l0, l1, a + i * rsa, rsa, csa, tile, ldp,
+                                lanes, c + i * ldc + c0, ldc);
+        });
+      }
+#else
       Index i = i0;
       if (w == kNr) {
         // Full tile: kMr x kNr register block. The l0..l1 slab of the panel
@@ -110,7 +233,7 @@ void NNRows(Index i0, Index i1, Index n, Index k, const float* a, Index rsa,
             for (Index t = 0; t < kNr; ++t) acc[r][t] = crow[t];
           }
           for (Index l = l0; l < l1; ++l) {
-            const float* p = tile + l * kNr;
+            const float* p = tile + l * ldp;
             for (Index r = 0; r < kMr; ++r) {
               const float av = a[(i + r) * rsa + l * csa];
               for (Index t = 0; t < kNr; ++t)
@@ -130,13 +253,21 @@ void NNRows(Index i0, Index i1, Index n, Index k, const float* a, Index rsa,
         for (Index t = 0; t < w; ++t) acc[t] = crow[t];
         for (Index l = l0; l < l1; ++l) {
           const float av = a[i * rsa + l * csa];
-          const float* p = tile + l * w;
+          const float* p = tile + l * ldp;
           for (Index t = 0; t < w; ++t) acc[t] = std::fmaf(av, p[t], acc[t]);
         }
         for (Index t = 0; t < w; ++t) crow[t] = acc[t];
       }
+#endif
     }
   }
+}
+
+}  // namespace
+
+void NNRows(Index i0, Index i1, Index n, Index k, const float* a, Index rsa,
+            Index csa, const float* packed, float* c, Index ldc) {
+  NNTiles(i0, i1, n, k, a, rsa, csa, packed, /*ldb=*/0, c, ldc);
 }
 
 void NTRows(Index i0, Index i1, Index n, Index k, const float* x, Index ldx,
@@ -144,6 +275,18 @@ void NTRows(Index i0, Index i1, Index n, Index k, const float* x, Index ldx,
   for (Index c0 = 0; c0 < n; c0 += kNr) {
     const Index w = std::min<Index>(kNr, n - c0);
     const float* tile = packed + k * c0;
+#ifdef __AVX512F__
+    // Fresh accumulators per element; the j loop is never split, so each
+    // element is the same single serial dot product the reference computes,
+    // with up to kMr x kNr of them in flight at once.
+    const TileLanes lanes(w);
+    for (Index i = i0; i < i1; i += kMr) {
+      WithBlockShape(std::min(kMr, i1 - i), w, [&](auto rows, auto halves) {
+        NTBlock<rows, halves>(k, x + i * ldx, ldx, tile, w, lanes,
+                              c + i * ldc + c0, ldc);
+      });
+    }
+#else
     Index i = i0;
     if (w == kNr) {
       for (; i + kMr <= i1; i += kMr) {
@@ -176,6 +319,7 @@ void NTRows(Index i0, Index i1, Index n, Index k, const float* x, Index ldx,
       float* crow = c + i * ldc + c0;
       for (Index t = 0; t < w; ++t) crow[t] += acc[t];
     }
+#endif
   }
 }
 
@@ -183,14 +327,20 @@ void GemmNN(Index m, Index n, Index k, const float* a, Index rsa, Index csa,
             const float* b, Index ldb, float* c, Index ldc,
             float* pack_scratch) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  // A pack writes all k*n panel floats, so caller scratch needs no zeroing.
-  ScopedVec packed(pack_scratch != nullptr ? 0 : k * n);
+  // With at most one row block, each panel tile would be read once: B is
+  // read in place instead. A pack writes all k*n panel floats, so caller
+  // scratch needs no zeroing.
+  const bool pack = m > kMr;
+  ScopedVec packed(pack && pack_scratch == nullptr ? k * n : 0);
   float* pp = pack_scratch != nullptr ? pack_scratch : packed.data();
-  PackPanel(b, Walk{{1, 1, k}, {0, 0, ldb}}, Walk{{1, 1, n}, {0, 0, 1}}, n,
-            pp);
-  const float* p = pp;
+  if (pack) {
+    PackPanel(b, Walk{{1, 1, k}, {0, 0, ldb}}, Walk{{1, 1, n}, {0, 0, 1}}, n,
+              pp);
+  }
+  const float* p = pack ? pp : b;
+  const Index ldp = pack ? 0 : ldb;
   ParallelKernel(m, 2 * k * n, [&](Index r0, Index r1) {
-    NNRows(r0, r1, n, k, a, rsa, csa, p, c, ldc);
+    NNTiles(r0, r1, n, k, a, rsa, csa, p, ldp, c, ldc);
   });
 }
 

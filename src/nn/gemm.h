@@ -36,7 +36,19 @@
 // into column tiles of width kNr. For the tile covering output columns
 // [c0, c0+w), w = min(kNr, n-c0), the tile starts at offset k*c0 and stores
 // element (l, c0+t) at tile[l*w + t]. A full pack is therefore exactly k*n
-// floats, and the kernels' inner loops read it with unit stride.
+// floats, and the kernels' inner loops read it with unit stride. GemmNN
+// skips the pack when A has at most kMr rows (one row block reads each
+// tile once) and runs the same kernel on B in place at row stride ldb.
+//
+// Register blocking: on AVX-512 builds every block of up to kMr rows by one
+// tile of any width w <= kNr keeps its accumulators in registers, as two
+// 16-lane zmm halves per row whose lanes past w are masked off (never
+// stored; a tile of at most 16 columns runs one half). Full 4 x 32 blocks,
+// leftover rows and ragged tiles all run this one block, so a shape like
+// the quick-scale trunk's (oc = 4/6, ck2 = 27/36/54) never drops to a
+// one-row serial loop. Other ISAs keep plain loops: a 4 x 32 array block
+// for full tiles and one row at a time for the rest. Either way each
+// element's operation sequence is the one above.
 #ifndef CEWS_NN_GEMM_H_
 #define CEWS_NN_GEMM_H_
 
@@ -53,7 +65,9 @@ namespace cews::nn::gemm {
 inline constexpr Index kNr = 32;
 
 /// Register-tile height in output rows. kMr * kNr/16 = 8 independent FMA
-/// chains per loop step — enough to hide FMA latency on current x86.
+/// chains per loop step — enough to hide FMA latency on current x86. Blocks
+/// of 1..kMr rows and tiles narrower than kNr run the same register block
+/// with fewer chains (AVX-512).
 inline constexpr Index kMr = 4;
 
 /// Reduction-dimension block for the NN kernel: a kKc x kNr panel slab is
@@ -104,22 +118,27 @@ void PackTile(const float* src, const Walk& rows, const Walk& cols, Index c0,
 /// NN kernel over rows [i0, i1): C[i, 0..n) += A_row_i · B using a packed B
 /// panel. A is read at a[i*rsa + l*csa] (pass rsa=k, csa=1 for a plain
 /// row-major A; rsa=1, csa=lda for a transposed read). C (row stride ldc)
-/// must be pre-initialized; accumulation per element is l ascending.
+/// must be pre-initialized; accumulation per element is l ascending. Per
+/// Kc slab and tile, each block of up to kMr rows loads its C block, runs
+/// fmaf l ascending and stores it back (masked lanes for a ragged tile on
+/// AVX-512; see file comment).
 void NNRows(Index i0, Index i1, Index n, Index k, const float* a, Index rsa,
             Index csa, const float* packed, float* c, Index ldc);
 
 /// NT kernel over rows [i0, i1): C[i, 0..n) += X_row_i · Yᵀ using a packed
 /// Yᵀ panel. Each output element is one fresh j-ascending dot accumulator
-/// added to C once.
+/// added to C once; each block of up to kMr rows by one tile (masked lanes
+/// for a ragged tile on AVX-512) keeps those accumulators in registers.
 void NTRows(Index i0, Index i1, Index n, Index k, const float* x, Index ldx,
             const float* packed, float* c, Index ldc);
 
 /// Convenience wrapper: C (m x n, ldc) += A (m x k, strides rsa/csa) ·
-/// B (k x n, ldb). Packs B into `pack_scratch` when given (k*n floats,
-/// fully overwritten — callers with planner-assigned arenas pass it to skip
-/// the workspace), otherwise into the per-thread workspace; then runs
-/// NNRows over the pool (rows partitioned; results independent of thread
-/// count).
+/// B (k x n, ldb). For m > kMr, packs B into `pack_scratch` when given (k*n
+/// floats, fully overwritten — callers with planner-assigned arenas pass it
+/// to skip the workspace), otherwise into the per-thread workspace; for
+/// m <= kMr it reads B in place and leaves `pack_scratch` untouched. Then
+/// runs the NN kernel over the pool (rows partitioned; results independent
+/// of thread count and of whether B was packed).
 void GemmNN(Index m, Index n, Index k, const float* a, Index rsa, Index csa,
             const float* b, Index ldb, float* c, Index ldc,
             float* pack_scratch = nullptr);

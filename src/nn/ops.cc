@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -1058,28 +1059,80 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   return r;
 }
 
+namespace {
+
+/// Calls fn(i, rows) over [0, n) in row groups of kLayerNormRowGroup, then
+/// 4, 2 and 1 for the tail, with the group size a compile-time constant.
+template <typename Fn>
+void ForRowGroups(Index n, Fn&& fn) {
+  Index i = 0;
+  for (; i + kLayerNormRowGroup <= n; i += kLayerNormRowGroup) {
+    fn(i, std::integral_constant<int, kLayerNormRowGroup>{});
+  }
+  if (n - i >= 4) fn(i, std::integral_constant<int, 4>{}), i += 4;
+  if (n - i >= 2) fn(i, std::integral_constant<int, 2>{}), i += 2;
+  if (n - i >= 1) fn(i, std::integral_constant<int, 1>{});
+}
+
+/// Mean and variance of G rows of f floats: each row's sums are its own
+/// sequential double chains in element order, G chains interleaved.
+template <int G>
+void RowStats(Index f, const float* x, double* mu, double* var) {
+  double sum[G] = {};
+  for (Index j = 0; j < f; ++j) {
+    for (int r = 0; r < G; ++r) sum[r] += x[r * f + j];
+  }
+  for (int r = 0; r < G; ++r) mu[r] = sum[r] / static_cast<double>(f);
+  double sq[G] = {};
+  for (Index j = 0; j < f; ++j) {
+    for (int r = 0; r < G; ++r) {
+      const double d = x[r * f + j] - mu[r];
+      sq[r] += d * d;
+    }
+  }
+  for (int r = 0; r < G; ++r) var[r] = sq[r] / static_cast<double>(f);
+}
+
+/// The backward's per-row means of g = dy * gamma and g * xhat over G rows,
+/// chained like RowStats.
+template <int G>
+void GradStats(Index f, const float* dy, const float* gamma, const float* xh,
+               double* mean_g, double* mean_gx) {
+  double sg[G] = {}, sgx[G] = {};
+  for (Index j = 0; j < f; ++j) {
+    for (int r = 0; r < G; ++r) {
+      const double gj = static_cast<double>(dy[r * f + j]) * gamma[j];
+      sg[r] += gj;
+      sgx[r] += gj * xh[r * f + j];
+    }
+  }
+  for (int r = 0; r < G; ++r) {
+    mean_g[r] = sg[r] / static_cast<double>(f);
+    mean_gx[r] = sgx[r] / static_cast<double>(f);
+  }
+}
+
+}  // namespace
+
 void LayerNormBody(Index n, Index f, float eps, const float* px,
                    const float* pg, const float* pb, float* po, float* xhat,
                    float* inv_sigma) {
-  for (Index i = 0; i < n; ++i) {
-    const float* row = px + i * f;
-    double mu = 0.0;
-    for (Index j = 0; j < f; ++j) mu += row[j];
-    mu /= static_cast<double>(f);
-    double var = 0.0;
-    for (Index j = 0; j < f; ++j) {
-      const double d = row[j] - mu;
-      var += d * d;
+  ForRowGroups(n, [&](Index i0, auto rows) {
+    double mu[rows], var[rows];
+    RowStats<rows>(f, px + i0 * f, mu, var);
+    for (Index i = i0; i < i0 + rows; ++i) {
+      const float* row = px + i * f;
+      const float m = static_cast<float>(mu[i - i0]);
+      const float is =
+          1.0f / std::sqrt(static_cast<float>(var[i - i0]) + eps);
+      inv_sigma[i] = is;
+      for (Index j = 0; j < f; ++j) {
+        const float xh = (row[j] - m) * is;
+        xhat[i * f + j] = xh;
+        po[i * f + j] = xh * pg[j] + pb[j];
+      }
     }
-    var /= static_cast<double>(f);
-    const float is = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-    inv_sigma[i] = is;
-    for (Index j = 0; j < f; ++j) {
-      const float xh = (row[j] - static_cast<float>(mu)) * is;
-      xhat[i * f + j] = xh;
-      po[i * f + j] = xh * pg[j] + pb[j];
-    }
-  }
+  });
 }
 
 Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
@@ -1113,39 +1166,45 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
     auto ig = gamma.impl();
     auto ibt = beta.impl();
     r.impl()->backward_fn = [o, ix, ig, ibt, xh, is, n, f]() {
-      if (ix->requires_grad) ix->EnsureGrad();
-      if (ig->requires_grad) ig->EnsureGrad();
-      if (ibt->requires_grad) ibt->EnsureGrad();
       const float* xhp = xh->data();
       const float* isp = is->data();
-      for (Index i = 0; i < n; ++i) {
-        const float* dy = o->grad.data() + i * f;
-        const float* xr = xhp + i * f;
-        if (ig->requires_grad || ibt->requires_grad) {
-          for (Index j = 0; j < f; ++j) {
-            if (ig->requires_grad) ig->grad[j] += dy[j] * xr[j];
-            if (ibt->requires_grad) ibt->grad[j] += dy[j];
-          }
-        }
-        if (ix->requires_grad) {
-          // dx = (g - mean(g) - xhat * mean(g * xhat)) * inv_sigma,
-          // where g = dy * gamma.
-          double mean_g = 0.0, mean_gx = 0.0;
-          for (Index j = 0; j < f; ++j) {
-            const double gj = static_cast<double>(dy[j]) * ig->data[j];
-            mean_g += gj;
-            mean_gx += gj * xr[j];
-          }
-          mean_g /= static_cast<double>(f);
-          mean_gx /= static_cast<double>(f);
-          float* dx = ix->grad.data() + i * f;
-          for (Index j = 0; j < f; ++j) {
-            const double gj = static_cast<double>(dy[j]) * ig->data[j];
-            dx[j] += static_cast<float>((gj - mean_g - xr[j] * mean_gx) *
-                                        isp[i]);
-          }
+      const float* og = o->grad.data();
+      if (ig->requires_grad) {
+        ig->EnsureGrad();
+        float* gg = ig->grad.data();
+        for (Index i = 0; i < n; ++i) {
+          const float* dy = og + i * f;
+          const float* xr = xhp + i * f;
+          for (Index j = 0; j < f; ++j) gg[j] += dy[j] * xr[j];
         }
       }
+      if (ibt->requires_grad) {
+        ibt->EnsureGrad();
+        float* gb = ibt->grad.data();
+        for (Index i = 0; i < n; ++i) {
+          const float* dy = og + i * f;
+          for (Index j = 0; j < f; ++j) gb[j] += dy[j];
+        }
+      }
+      if (!ix->requires_grad) return;
+      // dx = (g - mean(g) - xhat * mean(g * xhat)) * inv_sigma,
+      // where g = dy * gamma.
+      ix->EnsureGrad();
+      const float* gamma = ig->data.data();
+      ForRowGroups(n, [&](Index i0, auto rows) {
+        double mean_g[rows], mean_gx[rows];
+        GradStats<rows>(f, og + i0 * f, gamma, xhp + i0 * f, mean_g, mean_gx);
+        for (Index i = i0; i < i0 + rows; ++i) {
+          const float* dy = og + i * f;
+          const float* xr = xhp + i * f;
+          float* dx = ix->grad.data() + i * f;
+          const double mg = mean_g[i - i0], mgx = mean_gx[i - i0];
+          for (Index j = 0; j < f; ++j) {
+            const double gj = static_cast<double>(dy[j]) * gamma[j];
+            dx[j] += static_cast<float>((gj - mg - xr[j] * mgx) * isp[i]);
+          }
+        }
+      });
     };
   }
   return r;

@@ -146,9 +146,14 @@ void StageConvInput(const ConvShape& s, const float* x, float* stg);
 void ScatterConvCols(const ConvShape& s, const float* cm, Index ldc, Index c0,
                      Index c1, float* y);
 
+/// Rows whose LayerNorm statistics are computed side by side: each row
+/// keeps its own sequential double sums, so a row's bits do not depend on
+/// the rows next to it.
+inline constexpr int kLayerNormRowGroup = 8;
+
 /// One LayerNorm forward sweep over n rows of f features: writes the
 /// normalized-scaled output `po` plus the xhat [n * f] / inv_sigma [n] row
-/// statistics the backward consumes.
+/// statistics the backward consumes. `po` must not overlap `px`.
 void LayerNormBody(Index n, Index f, float eps, const float* px,
                    const float* pg, const float* pb, float* po, float* xhat,
                    float* inv_sigma);

@@ -61,28 +61,40 @@ std::string CaseName(const GemmCase& c, int threads) {
 // Shapes chosen to hit every kernel edge: single elements, single rows and
 // columns, exact register-tile multiples (kNr=32, kMr=4), off-by-one around
 // them, reductions shorter and longer than kKc=128, empty dimensions, and
-// the trainer/serve shapes that dominate production calls.
+// the trainer/serve shapes that dominate production calls. The last rows
+// are the quick-scale trunk's conv products (oc = 4/6, ck2 = 27/36/54: dW
+// as NT, dX and forward as NN) and head-sized FC rows, so every row count
+// 1..kMr and ragged tile widths reach both kernels.
 const GemmCase kCases[] = {
-    {1, 1, 1},    {1, 32, 1},    {1, 1, 129},  {4, 32, 128}, {3, 5, 7},
-    {4, 31, 16},  {5, 33, 129},  {7, 64, 130}, {33, 100, 64}, {64, 48, 96},
-    {2, 1, 257},  {31, 32, 33},  {1, 257, 4},  {8, 96, 41},  {40, 36, 100},
-    {0, 5, 4},    {4, 0, 5},     {2, 3, 0},
+    {1, 1, 1},     {1, 32, 1},     {1, 1, 129},   {4, 32, 128}, {3, 5, 7},
+    {4, 31, 16},   {5, 33, 129},   {7, 64, 130},  {33, 100, 64}, {64, 48, 96},
+    {2, 1, 257},   {31, 32, 33},   {1, 257, 4},   {8, 96, 41},  {40, 36, 100},
+    {0, 5, 4},     {4, 0, 5},      {2, 3, 0},     {4, 27, 144}, {6, 36, 36},
+    {6, 54, 9},    {6, 2304, 36},  {36, 2304, 6}, {1, 39, 64},  {11, 39, 64},
+    {2, 17, 300},  {3, 47, 200},
 };
 
 TEST(GemmPackedTest, NNBitwiseMatchesReferenceAcrossShapesAndThreads) {
+  // B rows are also read padded (ldb > n): products with at most kMr rows
+  // of A read B in place at stride ldb instead of packing it.
   for (const int threads : {0, 1, 4}) {
     runtime::SetGlobalPoolThreads(threads);
     for (const GemmCase& c : kCases) {
-      const auto a =
-          RandomData(static_cast<size_t>(c.m * c.k), 11, /*zeros=*/0.25);
-      const auto b = RandomData(static_cast<size_t>(c.k * c.n), 13);
-      auto want = RandomData(static_cast<size_t>(c.m * c.n), 17);
-      auto got = want;
-      gemm::reference::GemmNN(c.m, c.n, c.k, a.data(), c.k, 1, b.data(), c.n,
-                              want.data(), c.n);
-      gemm::GemmNN(c.m, c.n, c.k, a.data(), c.k, 1, b.data(), c.n,
-                   got.data(), c.n);
-      ExpectBitwiseEqual(want, got, "NN " + CaseName(c, threads));
+      for (const Index pad : {0, 3}) {
+        const Index ldb = c.n + pad;
+        const auto a =
+            RandomData(static_cast<size_t>(c.m * c.k), 11, /*zeros=*/0.25);
+        const auto b = RandomData(static_cast<size_t>(c.k * ldb), 13);
+        auto want = RandomData(static_cast<size_t>(c.m * c.n), 17);
+        auto got = want;
+        gemm::reference::GemmNN(c.m, c.n, c.k, a.data(), c.k, 1, b.data(),
+                                ldb, want.data(), c.n);
+        gemm::GemmNN(c.m, c.n, c.k, a.data(), c.k, 1, b.data(), ldb,
+                     got.data(), c.n);
+        ExpectBitwiseEqual(want, got,
+                           "NN " + CaseName(c, threads) +
+                               " ldb=" + std::to_string(ldb));
+      }
     }
   }
   runtime::SetGlobalPoolThreads(1);

@@ -1,10 +1,22 @@
 // Forward-value correctness of every tensor op (gradients are covered by
-// nn_grad_check_test.cc).
+// nn_grad_check_test.cc), plus LayerNorm's bitwise pins: CRC-32s of y, dx,
+// dgamma and dbeta at the policy trunk's row widths, and the row-invariance
+// the grouped row statistics must keep.
 #include "nn/ops.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/crc32.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
+#include "nn/graph.h"
 
 namespace cews::nn {
 namespace {
@@ -218,6 +230,160 @@ TEST(OpsTest, LayerNormAffine) {
   // Normalized x is (-1, 1); y = 2 * xhat + 5.
   EXPECT_NEAR(y.data()[0], 3.0f, 1e-3);
   EXPECT_NEAR(y.data()[1], 7.0f, 1e-3);
+}
+
+/// The pins hold for the default optimized x86-64 build with FMA
+/// contraction (-march=native on any FMA-capable host). Other builds
+/// contract and vectorize differently, so there every mode is only checked
+/// against the first (as in nn_conv_test).
+#if defined(__x86_64__) && defined(__FMA__) && defined(__OPTIMIZE__) && \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+constexpr bool kPinsApply = true;
+#else
+constexpr bool kPinsApply = false;
+#endif
+
+std::vector<float> RandomData(Index n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(static_cast<size_t>(n));
+  for (float& x : v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  return v;
+}
+
+uint32_t Crc(const float* p, Index n) {
+  return ComputeCrc32(p, static_cast<size_t>(n) * sizeof(float));
+}
+
+/// CRC-32s of y, dx, dgamma, dbeta.
+struct LnPins {
+  uint32_t y, dx, dg, db;
+  bool operator==(const LnPins& o) const {
+    return y == o.y && dx == o.dx && dg == o.dg && db == o.db;
+  }
+};
+
+std::string Hex(const LnPins& p) {
+  char buf[80];
+  std::snprintf(buf, sizeof(buf), "{0x%08xu, 0x%08xu, 0x%08xu, 0x%08xu}",
+                p.y, p.dx, p.dg, p.db);
+  return buf;
+}
+
+/// Forward, then backward of sum(y * r), over an [n, f] input whose rows
+/// are shifted and scaled apart (so row statistics differ). Graph mode
+/// records on a decoy input and replays on the real one.
+LnPins RunLayerNorm(Index n, Index f, bool graph_mode, int threads) {
+  runtime::SetGlobalPoolThreads(threads);
+  std::vector<float> xdata = RandomData(n * f, 7 + n * 1000 + f);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j < f; ++j) {
+      float& v = xdata[static_cast<size_t>(i * f + j)];
+      v = v * (1.0f + 0.25f * static_cast<float>(i % 5)) +
+          0.5f * static_cast<float>(i % 3);
+    }
+  }
+  Tensor x = Tensor::FromData(
+      {n, f}, graph_mode ? RandomData(n * f, 999) : xdata, true);
+  Tensor gamma = Tensor::FromData({f}, RandomData(f, 11 + f), true);
+  Tensor beta = Tensor::FromData({f}, RandomData(f, 13 + f), true);
+  Tensor r = Tensor::FromData({n, f}, RandomData(n * f, 17 + n + f));
+  Tensor y, loss;
+  graph::GraphPtr g;
+  if (graph_mode) {
+    graph::BeginRecording();
+    graph::MarkPlaceholder(x);
+    y = LayerNormOp(x, gamma, beta);
+    loss = Sum(Mul(y, r));
+    graph::Retain(y);
+    g = graph::EndRecording(loss);
+    std::copy(xdata.begin(), xdata.end(), x.data());
+    g->Forward();
+  } else {
+    y = LayerNormOp(x, gamma, beta);
+    loss = Sum(Mul(y, r));
+  }
+  loss.Backward();
+  const LnPins pins{Crc(y.data(), n * f), Crc(x.grad(), n * f),
+                    Crc(gamma.grad(), f), Crc(beta.grad(), f)};
+  runtime::SetGlobalPoolThreads(1);
+  return pins;
+}
+
+struct LnCase {
+  Index n, f;
+  LnPins pins;
+};
+
+// The quick-scale trunk's LayerNorm rows (f = 4*12*12, 6*6*6, 6*3*3) at
+// batch sizes around the 8-row statistics group: one row, a partial group,
+// one full group, a group plus a tail, and a full minibatch.
+const LnCase kLnCases[] = {
+    {1, 54, {0x5b4629b9u, 0xc3212d4fu, 0xe0fb2d8cu, 0x0abdc63bu}},
+    {1, 216, {0x558c0d3fu, 0x07f5964fu, 0x15b122a5u, 0x3dea47c7u}},
+    {1, 576, {0x7455d24bu, 0x912d79eeu, 0xab38bb0cu, 0x7768baecu}},
+    {3, 54, {0x886cbb5au, 0xe011586au, 0x8f1b39bcu, 0xbae2a022u}},
+    {3, 216, {0xf4d5a6f3u, 0x526ce4bbu, 0xcc127777u, 0x4e251a9bu}},
+    {3, 576, {0x764e0265u, 0x1b7dbc94u, 0x44580918u, 0x1402a230u}},
+    {8, 54, {0xffe2472cu, 0x26536b61u, 0x29023cceu, 0x212e12aeu}},
+    {8, 216, {0x31487e76u, 0x12ca1df5u, 0x8b9aef23u, 0xa84af798u}},
+    {8, 576, {0xab389a72u, 0xe95a24e5u, 0x93d4e29fu, 0x59f01409u}},
+    {11, 54, {0xce27ff84u, 0xeb559e91u, 0x1515adbfu, 0x4feaa3beu}},
+    {11, 216, {0x78c4e9d9u, 0x7cec554au, 0x5c71d2eau, 0xea1d0af0u}},
+    {11, 576, {0xfe72e43fu, 0x9ee2cd50u, 0xf6c08d8bu, 0x75d6d9e7u}},
+    {64, 54, {0xc6da02b4u, 0x11a14b2bu, 0x8940d59du, 0x24a58d71u}},
+    {64, 216, {0xe8d6e25du, 0x31a775f7u, 0xcb726793u, 0xbd2ff2d6u}},
+    {64, 576, {0x691777c2u, 0x6bff10c6u, 0x7c3fae01u, 0x58d5ff00u}},
+};
+
+TEST(LayerNormPinTest, TrunkRowsMatchPins) {
+  for (const LnCase& c : kLnCases) {
+    LnPins first{};
+    bool have_first = false;
+    for (const bool graph_mode : {false, true}) {
+      for (const int threads : {1, 4}) {
+        const LnPins got = RunLayerNorm(c.n, c.f, graph_mode, threads);
+        if (!have_first) first = got, have_first = true;
+        const LnPins& want = kPinsApply ? c.pins : first;
+        EXPECT_TRUE(got == want)
+            << "n=" << c.n << " f=" << c.f
+            << (graph_mode ? " graph" : " eager") << " pool=" << threads
+            << ": got " << Hex(got) << ", want " << Hex(want);
+      }
+    }
+  }
+}
+
+// Row statistics are computed several rows at a time; each row must still
+// get exactly the bits it gets alone, forward and backward.
+TEST(LayerNormPinTest, RowsTogetherEqualRowsAlone) {
+  for (const Index f : {54, 216, 576}) {
+    for (const Index n : {1, 3, 8, 11, 17}) {
+      const std::vector<float> xdata = RandomData(n * f, 23 + n + f);
+      const std::vector<float> rdata = RandomData(n * f, 29 + n + f);
+      Tensor gamma = Tensor::FromData({f}, RandomData(f, 31 + f));
+      Tensor beta = Tensor::FromData({f}, RandomData(f, 37 + f));
+      Tensor x = Tensor::FromData({n, f}, xdata, true);
+      Tensor y = LayerNormOp(x, gamma, beta);
+      Sum(Mul(y, Tensor::FromData({n, f}, rdata))).Backward();
+      for (Index i = 0; i < n; ++i) {
+        const auto row = [&](const std::vector<float>& v) {
+          return std::vector<float>(v.begin() + i * f, v.begin() + (i + 1) * f);
+        };
+        Tensor xi = Tensor::FromData({1, f}, row(xdata), true);
+        Tensor yi = LayerNormOp(xi, gamma, beta);
+        Sum(Mul(yi, Tensor::FromData({1, f}, row(rdata)))).Backward();
+        const std::string ctx =
+            "n=" + std::to_string(n) + " f=" + std::to_string(f) +
+            " row=" + std::to_string(i);
+        EXPECT_EQ(std::memcmp(y.data() + i * f, yi.data(), f * sizeof(float)),
+                  0)
+            << ctx;
+        EXPECT_EQ(std::memcmp(x.grad() + i * f, xi.grad(), f * sizeof(float)),
+                  0)
+            << ctx;
+      }
+    }
+  }
 }
 
 TEST(OpsTest, EmbeddingLookupRows) {

@@ -442,6 +442,24 @@ TEST(QuantServeTest, Int8ForwardIsThreadInvariant) {
   }
 }
 
+// The heads are served from the quantize-time panel alone, so their
+// parameter entries keep only their shapes.
+TEST(QuantServeTest, HeadEntriesHoldNoStorage) {
+  const std::unique_ptr<agents::PolicyNet> net = DecisiveNet(QuickNet(), 4246);
+  const nn::quant::QuantizedParams qp =
+      agents::QuantizePolicyParams(net->Parameters());
+  ASSERT_EQ(qp.entries.size(), 20u);
+  for (size_t i = 14; i < 20; ++i) {
+    SCOPED_TRACE("entry " + std::to_string(i));
+    EXPECT_FALSE(qp.entries[i].quantized);
+    EXPECT_EQ(qp.entries[i].dense.capacity(), 0u);
+    EXPECT_EQ(qp.entries[i].q.rows.size(), 0u);
+    EXPECT_FALSE(qp.entries[i].shape.empty());
+  }
+  EXPECT_FALSE(qp.head_panel.empty());
+  EXPECT_FALSE(qp.head_bias.empty());
+}
+
 TEST(QuantServeTest, Int8ForwardMatchesPinnedCrcTinyNet) {
   ExpectInt8Pins(TinyNet(), /*net_seed=*/4242, /*state_seed=*/77,
                  Int8Pins{0xb05285feu, 0x06bf0423u, 0x5c58fc6du, 0x343c0f23u,

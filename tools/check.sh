@@ -5,13 +5,14 @@
 #   2. int8 kernel sweep: the quantized serve-shape GEMM rows must exist and
 #      stay at or above packed-fp32 parity;
 #   3. TSan (build-tsan/): the concurrency-sensitive tests (thread pool,
-#      parallel kernels, graph, both trainers, obs, serve, dist);
+#      parallel kernels, nn ops, graph, both trainers, obs, serve, dist);
 #   4. ASan+UBSan (build-asan/): the vectorized acting path, both trainers,
 #      the nn op/gradient/conv/graph/serialization, obs, serve and dist
 #      tests, int8 quantization included;
 #   5. pinned hashes: both trainers' golden final parameters (at 1 to 4
-#      in-process employees), the int8 forward's and Conv2d's CRC pins, and
-#      the int8 forward's batch and thread invariance;
+#      in-process employees), the int8 forward's, Conv2d's and LayerNorm's
+#      CRC pins, LayerNorm's row invariance, and the int8 forward's batch
+#      and thread invariance;
 #   6. a multi-process train-dist smoke that must drive the publish gate
 #      through a reject-then-accept sequence into a live fleet;
 #   7. an int8 serve smoke on that trained snapshot, whose startup
@@ -76,16 +77,16 @@ else
     -DCEWS_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "$repo/build-tsan" -j "$jobs" --target \
     common_thread_pool_test nn_parallel_determinism_test nn_gemm_test \
-    nn_conv_test nn_quant_test nn_graph_test agents_graph_equivalence_test \
-    agents_trainer_core_test agents_trainer_test agents_async_test \
-    obs_metrics_test obs_trace_test obs_integration_test \
-    obs_rolling_test obs_flight_test \
+    nn_conv_test nn_ops_test nn_quant_test nn_graph_test \
+    agents_graph_equivalence_test agents_trainer_core_test \
+    agents_trainer_test agents_async_test obs_metrics_test obs_trace_test \
+    obs_integration_test obs_rolling_test obs_flight_test \
     serve_batcher_test serve_server_test serve_fleet_test serve_trace_test \
     serve_quant_test dist_transport_test dist_trainer_equivalence_test
 
   echo "== tsan: concurrency tests =="
   (cd "$repo/build-tsan" && ctest --output-on-failure -j "$jobs" -R \
-    "common_thread_pool_test|nn_parallel_determinism_test|nn_gemm_test|nn_conv_test|nn_quant_test|nn_graph_test|agents_graph_equivalence_test|agents_trainer_core_test|agents_trainer_test|agents_async_test|obs_metrics_test|obs_trace_test|obs_integration_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
+    "common_thread_pool_test|nn_parallel_determinism_test|nn_gemm_test|nn_conv_test|nn_ops_test|nn_quant_test|nn_graph_test|agents_graph_equivalence_test|agents_trainer_core_test|agents_trainer_test|agents_async_test|obs_metrics_test|obs_trace_test|obs_integration_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
 fi
 
 if [[ "$skip_asan" == 1 ]]; then
@@ -125,8 +126,11 @@ echo "== graph + dist + int8: pinned-hash guard =="
 # the batch around it (its column tiles straddle images) or on the pool
 # width. Conv2d's forward output and dx/dW/db must end on their pinned
 # CRCs for the trunk stages and the non-trunk geometries, eager and
-# compiled, at pool widths 1 and 4. Runs in the plain build so a
-# regression fails the check even when both sanitizer passes are skipped.
+# compiled, at pool widths 1 and 4; so must LayerNorm's y, dx, dgamma and
+# dbeta at the trunk's row widths, and n rows normalized together must
+# equal n single-row calls (its statistics run a row group at a time).
+# Runs in the plain build so a regression fails the check even when both
+# sanitizer passes are skipped.
 "$repo/build/tests/agents_graph_equivalence_test" \
   --gtest_filter='*PinnedTapeHash*'
 "$repo/build/tests/agents_trainer_test" \
@@ -135,6 +139,7 @@ echo "== graph + dist + int8: pinned-hash guard =="
   --gtest_filter='*PinnedHash*'
 "$repo/build/tests/serve_quant_test" --gtest_filter='*Pinned*:*Invariant*'
 "$repo/build/tests/nn_conv_test"
+"$repo/build/tests/nn_ops_test" --gtest_filter='LayerNormPinTest.*'
 
 echo "== dist: multi-process train-dist + publish-gate smoke =="
 # End-to-end exercise of the distributed trainer: a chief forks two
